@@ -228,7 +228,7 @@ fn main() {
         Job::Daemon(s) => Cell::Aged(daemon(app, class, s)),
     });
     let sink = cli.sink();
-    let Some(cells) = cli.execute_keyed(&grid, sink.as_ref()) else {
+    let Some(cells) = cli.execute(&grid, sink.as_ref()) else {
         return; // shard mode: the slice and its manifest are in the store
     };
 

@@ -151,7 +151,7 @@ fn main() {
         run_system(c.app, class, &b, RunOpts::default())
     });
     let sink = cli.sink();
-    let Some(records) = cli.execute_keyed(&kgrid, sink.as_ref()) else {
+    let Some(records) = cli.execute(&kgrid, sink.as_ref()) else {
         return; // shard mode: the slice and its manifest are in the store
     };
     let find = |cfg: Cfg| -> &RunRecord {

@@ -309,7 +309,7 @@ fn main() {
         .collect();
     let kgrid = KeyedGrid::new(keys, |i, _key| run_cell(&grid[i], class));
     let sink = cli.sink();
-    let Some(rows) = cli.execute_keyed(&kgrid, sink.as_ref()) else {
+    let Some(rows) = cli.execute(&kgrid, sink.as_ref()) else {
         return; // shard mode: the slice and its manifest are in the store
     };
     for (c, r) in grid.iter().zip(&rows) {

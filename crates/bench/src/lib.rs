@@ -23,7 +23,7 @@
 
 use lpomp_core::{
     default_workers, run_sim, BackendKind, GridCell, JsonlSink, KeyedGrid, PagePolicy, RunOpts,
-    RunRecord, RunStore, Shard, SweepResults, SweepSpec,
+    RunRecord, RunStore, Shard,
 };
 use lpomp_machine::MachineConfig;
 use lpomp_npb::{AppKind, Class};
@@ -57,6 +57,7 @@ fn positional_args() -> Vec<String> {
 }
 
 /// Parse the class argument (first non-flag CLI arg), defaulting to `W`.
+/// An unknown class is a usage error (exit status 2).
 pub fn class_from_args() -> Class {
     let positional = positional_args().into_iter().next();
     match positional.as_deref() {
@@ -64,31 +65,30 @@ pub fn class_from_args() -> Class {
         Some("A") | Some("a") => Class::A,
         Some("B") | Some("b") => Class::B,
         Some("W") | Some("w") | None => Class::W,
-        Some(other) => {
-            eprintln!("unknown class {other:?}; expected S, W, A or B — using W");
-            Class::W
-        }
+        Some(other) => usage_error(&format!("unknown class {other:?}; expected S, W, A or B")),
     }
 }
 
 /// Parse the `--backend=cycle|analytic` flag, defaulting to cycle-exact
-/// (the golden outputs are cycle-exact; the flag is the fast path).
+/// (the golden outputs are cycle-exact; the flag is the fast path). An
+/// unknown backend is a usage error (exit status 2).
 pub fn backend_from_args() -> BackendKind {
     for arg in std::env::args().skip(1) {
         if let Some(name) = arg.strip_prefix("--backend=") {
-            match BackendKind::parse(name) {
-                Some(kind) => return kind,
-                None => {
-                    eprintln!("unknown backend {name:?}; expected cycle or analytic — using cycle")
-                }
-            }
+            return BackendKind::parse(name).unwrap_or_else(|| {
+                usage_error(&format!(
+                    "unknown backend {name:?}; expected cycle or analytic"
+                ))
+            });
         }
     }
     BackendKind::CycleExact
 }
 
-/// The sweep-store flags shared by the `SweepSpec`-shaped binaries
-/// (`fig3`, `fig4`, `fig5`, `xval`):
+/// The sweep-store flags shared by every binary that runs its grid
+/// through [`SweepCli::execute`]: the `SweepSpec`-shaped `fig3`, `fig4`,
+/// `fig5`, `xval` and `ext_arch`, and the custom-grid `ext_frag`,
+/// `ext_numa` and `ext_sched`:
 ///
 /// * `--store DIR` — run incrementally against the content-addressed
 ///   [`RunStore`] at `DIR`: cached configs replay from disk, misses run
@@ -111,6 +111,12 @@ pub struct SweepCli {
     pub merge: Option<usize>,
     /// JSON-lines output path (`--jsonl`).
     pub jsonl: Option<PathBuf>,
+}
+
+/// Print `msg` and exit with status 1 (a store, shard or merge failure).
+fn runtime_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1)
 }
 
 fn usage_error(msg: &str) -> ! {
@@ -173,110 +179,50 @@ impl SweepCli {
     /// [`execute`](SweepCli::execute).
     pub fn sink(&self) -> Option<JsonlSink> {
         let path = self.jsonl.as_ref()?;
-        match JsonlSink::create(path) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("error: could not create {}: {e}", path.display());
-                std::process::exit(1)
-            }
-        }
+        Some(JsonlSink::create(path).unwrap_or_else(|e| {
+            runtime_error(&format!("could not create {}: {e}", path.display()))
+        }))
     }
 
-    /// Run `spec` the way the flags ask: merge, shard, incremental, or a
-    /// plain in-memory sweep. Returns `None` in shard mode — the grid
-    /// slice and its manifest are on disk, and the caller has no full
-    /// results to render — and the results otherwise. Failures print an
-    /// error and exit nonzero (2 for usage, 1 for store/merge errors).
-    pub fn execute(&self, spec: &SweepSpec, sink: Option<&JsonlSink>) -> Option<SweepResults> {
-        let store = self.store.as_ref().map(|dir| {
-            RunStore::open(dir).unwrap_or_else(|e| {
-                eprintln!("error: could not open store {}: {e}", dir.display());
-                std::process::exit(1)
-            })
-        });
-        if let Some(count) = self.merge {
-            let results = spec
-                .merge_shards(store.as_ref().expect("validated at parse"), count)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1)
-                });
-            if let Some(sink) = sink {
-                for rec in results.records() {
-                    sink.emit(rec, true);
-                }
-            }
-            eprintln!(
-                "merged {} records from {count} shards of sweep {}",
-                results.records().len(),
-                spec.sweep_id()
-            );
-            return Some(results);
-        }
-        if let Some(shard) = self.shard {
-            let store = store.as_ref().expect("validated at parse");
-            let manifest = spec
-                .run_shard(shard, store, default_workers(), sink)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: shard {shard} failed: {e}");
-                    std::process::exit(1)
-                });
-            eprintln!(
-                "shard {shard} of sweep {} complete ({} configs); after all {} shards, \
-                 rerun with `--store {} --merge {}`",
-                manifest.sweep,
-                manifest.entries.len(),
-                shard.count,
-                store.dir().display(),
-                shard.count
-            );
-            return None;
-        }
-        if let Some(store) = store {
-            let inc = spec
-                .run_incremental_with(&store, default_workers(), sink)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: incremental sweep failed: {e}");
-                    std::process::exit(1)
-                });
-            return Some(inc.results);
-        }
-        let results = spec.run();
-        if let Some(sink) = sink {
-            for rec in results.records() {
-                sink.emit(rec, false);
-            }
-        }
-        Some(results)
-    }
-
-    /// [`execute`](SweepCli::execute) for a [`KeyedGrid`] — the same
-    /// merge / shard / incremental / plain dispatch for binaries whose
-    /// grids are not `SweepSpec`-shaped (`ext_frag`, `ext_numa`).
-    /// Returns `None` in shard mode, the cells in key order otherwise.
-    pub fn execute_keyed<T: GridCell>(
+    /// Run `grid` the way the flags ask: merge, shard, incremental, or a
+    /// plain in-memory run. Returns `None` in shard mode — the grid slice
+    /// and its manifest are on disk, and the caller has no full results
+    /// to render — and the cells in key order otherwise. Failures print
+    /// an error and exit nonzero (2 for usage, 1 for store/merge errors).
+    ///
+    /// `SweepSpec`-shaped binaries pass [`SweepSpec::keyed`] and convert
+    /// the records with `.map(SweepResults::from)`.
+    ///
+    /// [`SweepSpec::keyed`]: lpomp_core::SweepSpec::keyed
+    pub fn execute<T: GridCell>(
         &self,
         grid: &KeyedGrid<'_, T>,
         sink: Option<&JsonlSink>,
     ) -> Option<Vec<T>> {
-        let store = self.store.as_ref().map(|dir| {
-            RunStore::open(dir).unwrap_or_else(|e| {
-                eprintln!("error: could not open store {}: {e}", dir.display());
-                std::process::exit(1)
-            })
+        let emit = |cells: &[T], cached: bool| {
+            if let Some(sink) = sink {
+                for cell in cells {
+                    sink.emit_line(&cell.to_store_json(), cached);
+                }
+            }
+        };
+        let Some(dir) = &self.store else {
+            assert!(
+                self.shard.is_none() && self.merge.is_none(),
+                "--shard/--merge need --store (validated at parse)"
+            );
+            let cells = grid.run_all(default_workers());
+            emit(&cells, false);
+            return Some(cells);
+        };
+        let store = RunStore::open(dir).unwrap_or_else(|e| {
+            runtime_error(&format!("could not open store {}: {e}", dir.display()))
         });
         if let Some(count) = self.merge {
             let cells = grid
-                .merge_shards(store.as_ref().expect("validated at parse"), count)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1)
-                });
-            if let Some(sink) = sink {
-                for cell in &cells {
-                    sink.emit_line(&cell.to_store_json(), true);
-                }
-            }
+                .merge_shards(&store, count)
+                .unwrap_or_else(|e| runtime_error(&e));
+            emit(&cells, true);
             eprintln!(
                 "merged {} cells from {count} shards of grid {}",
                 cells.len(),
@@ -285,39 +231,23 @@ impl SweepCli {
             return Some(cells);
         }
         if let Some(shard) = self.shard {
-            let store = store.as_ref().expect("validated at parse");
             let manifest = grid
-                .run_shard(shard, store, default_workers(), sink)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: shard {shard} failed: {e}");
-                    std::process::exit(1)
-                });
+                .run_shard(shard, &store, default_workers(), sink)
+                .unwrap_or_else(|e| runtime_error(&format!("shard {shard} failed: {e}")));
             eprintln!(
                 "shard {shard} of grid {} complete ({} cells); after all {} shards, \
                  rerun with `--store {} --merge {}`",
                 manifest.sweep,
                 manifest.entries.len(),
                 shard.count,
-                store.dir().display(),
+                dir.display(),
                 shard.count
             );
             return None;
         }
-        if let Some(store) = store {
-            let (cells, _, _) = grid
-                .run_incremental(&store, default_workers(), sink)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: incremental grid failed: {e}");
-                    std::process::exit(1)
-                });
-            return Some(cells);
-        }
-        let cells = grid.run_all(default_workers());
-        if let Some(sink) = sink {
-            for cell in &cells {
-                sink.emit_line(&cell.to_store_json(), false);
-            }
-        }
+        let (cells, _, _) = grid
+            .run_incremental(&store, default_workers(), sink)
+            .unwrap_or_else(|e| runtime_error(&format!("incremental grid failed: {e}")));
         Some(cells)
     }
 }

@@ -14,15 +14,17 @@
 //! against the requested one, so even a full 128-bit hash collision (or
 //! a renamed file) degrades to a cache miss, never a wrong record.
 //!
-//! Three layers build on the store:
+//! Three layers build on the store, all implemented once by
+//! [`KeyedGrid`] (a [`SweepSpec`] reaches them through
+//! [`SweepSpec::keyed`]):
 //!
-//! * **incremental sweeps** — [`SweepSpec::run_incremental`] consults
-//!   the store per key, re-runs only the misses, and merges cached and
-//!   fresh records into a [`SweepResults`] byte-identical to a cold run;
-//! * **sharded execution** — [`SweepSpec::run_shard`] runs the
+//! * **incremental runs** — [`KeyedGrid::run_incremental`] consults the
+//!   store per key, re-runs only the misses, and merges cached and fresh
+//!   cells into results byte-identical to a cold run;
+//! * **sharded execution** — [`KeyedGrid::run_shard`] runs the
 //!   `index`-th of [`Shard::count`] interleaved slices of the grid into
 //!   a shared store and writes a per-shard [manifest](ShardManifest);
-//!   [`SweepSpec::merge_shards`] validates that the manifests cover the
+//!   [`KeyedGrid::merge_shards`] validates that the manifests cover the
 //!   whole grid exactly once (and that no key collided) before
 //!   assembling the merged results;
 //! * **JSON-lines streaming** — a [`JsonlSink`] receives one
@@ -31,16 +33,22 @@
 //!
 //! Records carrying profiler attachments (`regions`/`trace`) are not
 //! cached — sweeps never produce them, and the store refuses to persist
-//! what it cannot round-trip byte-identically.
+//! what it cannot round-trip byte-identically (see
+//! [`GridCell::storable`]).
 //!
 //! [`SweepSpec::run_incremental`]: crate::SweepSpec::run_incremental
-//! [`SweepSpec::run_shard`]: crate::SweepSpec::run_shard
-//! [`SweepSpec::merge_shards`]: crate::SweepSpec::merge_shards
-//! [`SweepResults`]: crate::SweepResults
+//! [`SweepSpec`]: crate::SweepSpec
+//! [`SweepSpec::keyed`]: crate::SweepSpec::keyed
+//! [`KeyedGrid`]: crate::KeyedGrid
+//! [`KeyedGrid::run_incremental`]: crate::KeyedGrid::run_incremental
+//! [`KeyedGrid::run_shard`]: crate::KeyedGrid::run_shard
+//! [`KeyedGrid::merge_shards`]: crate::KeyedGrid::merge_shards
+//! [`GridCell::storable`]: crate::GridCell::storable
 
 use crate::backend::BackendKind;
 use crate::experiment::{RunOpts, RunRecord};
 use crate::policy::PagePolicy;
+use crate::sweep::GridCell;
 use lpomp_machine::MachineConfig;
 use lpomp_npb::{AppKind, Class};
 use lpomp_prof::{parse_json, Counters, Event, Json, ENGINE_VERSION};
@@ -111,12 +119,8 @@ impl StoreKey {
             machine.arch().descriptor(),
             opts.verify,
         );
-        let hash = [
-            fnv1a64(FNV_OFFSET, fingerprint.as_bytes()),
-            fnv1a64(FNV_OFFSET_2, fingerprint.as_bytes()),
-        ];
-        StoreKey {
-            hash,
+        let mut key = StoreKey {
+            hash: [0; 2],
             fingerprint,
             app,
             class,
@@ -124,7 +128,9 @@ impl StoreKey {
             policy,
             threads,
             backend,
-        }
+        };
+        key.rehash();
+        key
     }
 
     /// Key for the same configuration run as one tenant of a scheduled,
@@ -337,45 +343,29 @@ impl RunStore {
         &self.dir
     }
 
-    /// Load the record addressed by `key`, or `None` on any of: absent
-    /// file, unparsable or truncated JSON, store-format or engine-version
-    /// mismatch, fingerprint mismatch (hash collision or renamed file),
-    /// or identity-field drift. A miss is always safe — the caller
-    /// re-runs — so every failure maps to a miss, never a panic.
+    /// Load the record addressed by `key` — [`Self::load_cell`] decoded
+    /// as a [`RunRecord`] — or `None` on any of the cell misses or
+    /// identity-field drift.
     pub fn load(&self, key: &StoreKey) -> Option<RunRecord> {
-        let src = std::fs::read_to_string(self.dir.join(key.file_name())).ok()?;
-        let j = parse_json(&src).ok()?;
-        (opt_u64(&j, "v").ok()? == STORE_FORMAT).then_some(())?;
-        (opt_u64(&j, "engine").ok()? == u64::from(ENGINE_VERSION)).then_some(())?;
-        (opt_str(&j, "fp").ok()? == key.fingerprint()).then_some(())?;
-        record_from_json(j.get("record")?, key).ok()
+        record_from_json(&self.load_cell(key)?, key).ok()
     }
 
-    /// Persist `rec` under `key`. Returns `Ok(false)` — without writing —
-    /// when the record carries profiler attachments the store cannot
-    /// round-trip. The write goes through a temp file + rename, so
-    /// concurrent shard writers racing on one key land a complete file
-    /// (both would write identical bytes).
+    /// Persist `rec` under `key` through [`Self::save_cell`]. Returns
+    /// `Ok(false)` — without writing — when the record is not
+    /// [storable](GridCell::storable): it carries profiler attachments
+    /// the store cannot round-trip.
     pub fn save(&self, key: &StoreKey, rec: &RunRecord) -> std::io::Result<bool> {
-        if rec.regions.is_some() || rec.trace.is_some() {
+        if !rec.storable() {
             return Ok(false);
         }
-        let mut out = String::with_capacity(1536);
-        let _ = writeln!(
-            out,
-            "{{\"v\":{STORE_FORMAT},\"engine\":{ENGINE_VERSION},\"fp\":\"{}\",\"record\":{}}}",
-            escape(key.fingerprint()),
-            record_json(rec)
-        );
-        self.write_atomic(&key.file_name(), out.as_bytes())?;
+        self.save_cell(key, &record_json(rec))?;
         Ok(true)
     }
 
-    /// Persist an arbitrary single-line JSON object `payload` under
-    /// `key`, inside the same versioned + fingerprinted envelope as
-    /// [`Self::save`]. This is the generic-cell path used by sweeps whose
-    /// grid points are not [`RunRecord`]s (e.g. the fragmentation and
-    /// NUMA extension tables).
+    /// Persist a single-line JSON object `payload` under `key`, inside a
+    /// versioned + fingerprinted envelope. The write goes through a temp
+    /// file + rename, so concurrent shard writers racing on one key land
+    /// a complete file (both would write identical bytes).
     pub fn save_cell(&self, key: &StoreKey, payload: &str) -> std::io::Result<()> {
         debug_assert!(
             !payload.contains('\n'),
@@ -390,16 +380,21 @@ impl RunStore {
         self.write_atomic(&key.file_name(), out.as_bytes())
     }
 
-    /// Load a cell saved by [`Self::save_cell`], returning the parsed
-    /// payload. Misses (on absence, corruption, version or fingerprint
-    /// drift) exactly like [`Self::load`].
+    /// Load the payload saved under `key` by [`Self::save_cell`], or
+    /// `None` on any of: absent file, unparsable or truncated JSON,
+    /// store-format or engine-version mismatch, or fingerprint mismatch
+    /// (hash collision or renamed file). A miss is always safe — the
+    /// caller re-runs — so every failure maps to a miss, never a panic.
     pub fn load_cell(&self, key: &StoreKey) -> Option<Json> {
         let src = std::fs::read_to_string(self.dir.join(key.file_name())).ok()?;
         let j = parse_json(&src).ok()?;
         (opt_u64(&j, "v").ok()? == STORE_FORMAT).then_some(())?;
         (opt_u64(&j, "engine").ok()? == u64::from(ENGINE_VERSION)).then_some(())?;
         (opt_str(&j, "fp").ok()? == key.fingerprint()).then_some(())?;
-        j.get("record").cloned()
+        let Json::Obj(members) = j else { return None };
+        members
+            .into_iter()
+            .find_map(|(name, value)| (name == "record").then_some(value))
     }
 
     /// Number of record files resident in the store (manifests excluded).
@@ -474,17 +469,17 @@ impl std::fmt::Display for Shard {
     }
 }
 
-/// The coverage proof one [`SweepSpec::run_shard`] invocation leaves in
+/// The coverage proof one [`KeyedGrid::run_shard`] invocation leaves in
 /// the store: which grid indices the shard ran (or found cached) and
-/// the addresses of their records. [`SweepSpec::merge_shards`] refuses
+/// the addresses of their records. [`KeyedGrid::merge_shards`] refuses
 /// to assemble results until every shard's manifest is present and
 /// their union covers the grid exactly once.
 ///
-/// [`SweepSpec::run_shard`]: crate::SweepSpec::run_shard
-/// [`SweepSpec::merge_shards`]: crate::SweepSpec::merge_shards
+/// [`KeyedGrid::run_shard`]: crate::KeyedGrid::run_shard
+/// [`KeyedGrid::merge_shards`]: crate::KeyedGrid::merge_shards
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardManifest {
-    /// The sweep this shard belongs to ([`sweep_id`] of the spec).
+    /// The grid this shard belongs to ([`sweep_id`] of its keys).
     pub sweep: String,
     /// The shard.
     pub shard: Shard,

@@ -62,12 +62,7 @@ impl SweepSpec {
 
     /// Number of runs the sweep will execute.
     pub fn len(&self) -> usize {
-        let mut n = 0;
-        for m in &self.machines {
-            let t = self.threads.iter().filter(|&&t| t <= m.contexts()).count();
-            n += self.apps.len() * self.policies.len() * t;
-        }
-        n
+        self.grid().len()
     }
 
     /// True when the grid is empty.
@@ -77,10 +72,11 @@ impl SweepSpec {
 
     /// The grid in its canonical (serial-loop) order:
     /// machines → apps → policies → threads, skipping thread counts a
-    /// machine cannot seat. Every `run*` method executes exactly this
-    /// list, so results are identical however they are scheduled.
+    /// machine cannot seat. Every `run*` method and [`Self::keyed`]
+    /// execute exactly this list, so results are identical however they
+    /// are scheduled.
     fn grid(&self) -> Vec<(&MachineConfig, AppKind, PagePolicy, usize)> {
-        let mut configs = Vec::with_capacity(self.len());
+        let mut configs = Vec::new();
         for machine in &self.machines {
             for &app in &self.apps {
                 for &policy in &self.policies {
@@ -109,27 +105,7 @@ impl SweepSpec {
     /// is the serial loop; any other count produces the same records in
     /// the same (grid) order.
     pub fn run_parallel(&self, workers: usize) -> SweepResults {
-        let grid = self.grid();
-        if self.backend == BackendKind::Analytic {
-            // Warm the profile cache serially: captures are the expensive
-            // step and `get_or_capture` holds the cache lock across one,
-            // so letting workers race to it would serialize them anyway.
-            for &(_, app, _, threads) in &grid {
-                crate::backend::cached_profile(app, self.class, threads);
-            }
-        }
-        let records = par_map(&grid, workers, |_, &(machine, app, policy, threads)| {
-            run_backend(
-                self.backend,
-                app,
-                self.class,
-                machine.clone(),
-                policy,
-                threads,
-                self.opts,
-            )
-        });
-        SweepResults { records }
+        self.keyed().run_all(workers).into()
     }
 
     /// Execute with a progress callback `(completed, total)`.
@@ -140,21 +116,17 @@ impl SweepSpec {
     /// [`run`]: SweepSpec::run
     /// [`run_parallel`]: SweepSpec::run_parallel
     pub fn run_with_progress(&self, mut progress: impl FnMut(usize, usize)) -> SweepResults {
-        let grid = self.grid();
+        let grid = self.keyed();
         let total = grid.len();
-        let mut records = Vec::with_capacity(total);
-        for (done, &(machine, app, policy, threads)) in grid.iter().enumerate() {
-            progress(done, total);
-            records.push(run_backend(
-                self.backend,
-                app,
-                self.class,
-                machine.clone(),
-                policy,
-                threads,
-                self.opts,
-            ));
-        }
+        let records = grid
+            .keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| {
+                progress(i, total);
+                (grid.run)(i, key)
+            })
+            .collect();
         SweepResults { records }
     }
 
@@ -178,10 +150,27 @@ impl SweepSpec {
             .collect()
     }
 
-    /// Content identity of the whole grid (see [`sweep_id`]); names the
-    /// shard manifests so different sweeps can share one store directory.
-    pub fn sweep_id(&self) -> String {
-        sweep_id(&self.store_keys())
+    /// The sweep as a [`KeyedGrid`] over [`store_keys`](Self::store_keys):
+    /// cell `i` runs grid point `i` through [`run_backend`]. Use it for
+    /// shards, merges, and incremental runs with a worker count or sink.
+    ///
+    /// Analytic cells capture their profile on first use. The profile
+    /// cache holds its lock across a capture, so racing workers wait
+    /// rather than duplicate one, and profiles are deterministic.
+    pub fn keyed(&self) -> KeyedGrid<'_, RunRecord> {
+        let grid = self.grid();
+        KeyedGrid::new(self.store_keys(), move |i, _key| {
+            let (machine, app, policy, threads) = grid[i];
+            run_backend(
+                self.backend,
+                app,
+                self.class,
+                machine.clone(),
+                policy,
+                threads,
+                self.opts,
+            )
+        })
     }
 
     /// Execute the sweep *incrementally* against `store`: configurations
@@ -193,228 +182,17 @@ impl SweepSpec {
     /// unchanged code is zero engine runs.
     ///
     /// Hit/miss counts are logged to stderr and returned in the
-    /// [`IncrementalSweep`].
+    /// [`IncrementalSweep`]. [`keyed`](Self::keyed) exposes the worker
+    /// count, the JSON-lines sink, shards and merges.
     pub fn run_incremental(&self, store: &RunStore) -> std::io::Result<IncrementalSweep> {
-        self.run_incremental_with(store, default_workers(), None)
-    }
-
-    /// [`run_incremental`](SweepSpec::run_incremental) with an explicit
-    /// worker count and an optional JSON-lines sink. Cached records are
-    /// streamed first (in grid order, `"cached":true`), then fresh
-    /// records as they complete.
-    pub fn run_incremental_with(
-        &self,
-        store: &RunStore,
-        workers: usize,
-        sink: Option<&JsonlSink>,
-    ) -> std::io::Result<IncrementalSweep> {
-        let grid = self.grid();
-        let keys = self.store_keys();
-        let mut slots: Vec<Option<RunRecord>> = keys.iter().map(|k| store.load(k)).collect();
-        let miss_idx: Vec<usize> = (0..grid.len()).filter(|&i| slots[i].is_none()).collect();
-        let hits = grid.len() - miss_idx.len();
-        if let Some(sink) = sink {
-            for rec in slots.iter().flatten() {
-                sink.emit(rec, true);
-            }
-        }
-        let fresh = self.run_missing(&grid, &keys, &miss_idx, store, workers, sink)?;
-        for (&i, rec) in miss_idx.iter().zip(fresh) {
-            slots[i] = Some(rec);
-        }
-        eprintln!(
-            "sweep store [{}]: {hits} hits, {} misses / {} configs",
-            store.dir().display(),
-            miss_idx.len(),
-            grid.len()
-        );
+        let (records, hits, misses) =
+            self.keyed()
+                .run_incremental(store, default_workers(), None)?;
         Ok(IncrementalSweep {
-            results: SweepResults {
-                records: slots.into_iter().map(Option::unwrap).collect(),
-            },
+            results: records.into(),
             hits,
-            misses: miss_idx.len(),
+            misses,
         })
-    }
-
-    /// Run grid indices `miss_idx` (misses of some superset), saving and
-    /// streaming each record. Returns the fresh records in `miss_idx`
-    /// order. The first store-write error aborts (a sweep that cannot
-    /// persist would silently lose its resume guarantee).
-    fn run_missing(
-        &self,
-        grid: &[(&MachineConfig, AppKind, PagePolicy, usize)],
-        keys: &[StoreKey],
-        miss_idx: &[usize],
-        store: &RunStore,
-        workers: usize,
-        sink: Option<&JsonlSink>,
-    ) -> std::io::Result<Vec<RunRecord>> {
-        if self.backend == BackendKind::Analytic {
-            // Warm the profile cache serially over the *misses* only —
-            // hits never consult a profile (see `run_parallel` for why
-            // serial).
-            for &i in miss_idx {
-                let (_, app, _, threads) = grid[i];
-                crate::backend::cached_profile(app, self.class, threads);
-            }
-        }
-        let save_errors: Mutex<Vec<std::io::Error>> = Mutex::new(Vec::new());
-        let fresh = par_map(miss_idx, workers, |_, &gi| {
-            let (machine, app, policy, threads) = grid[gi];
-            let rec = run_backend(
-                self.backend,
-                app,
-                self.class,
-                machine.clone(),
-                policy,
-                threads,
-                self.opts,
-            );
-            if let Err(e) = store.save(&keys[gi], &rec) {
-                save_errors
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push(e);
-            }
-            if let Some(sink) = sink {
-                sink.emit(&rec, false);
-            }
-            rec
-        });
-        let mut errors = save_errors.into_inner().unwrap_or_else(|p| p.into_inner());
-        match errors.pop() {
-            Some(e) => Err(e),
-            None => Ok(fresh),
-        }
-    }
-
-    /// Execute this process's slice of a sweep partitioned across
-    /// `shard.count` cooperating processes sharing `store`, incrementally
-    /// (cached configs are not re-run), and record a [`ShardManifest`]
-    /// proving which grid indices this shard covered. Once every shard
-    /// has run, [`merge_shards`](SweepSpec::merge_shards) assembles the
-    /// full results without touching the engine.
-    pub fn run_shard(
-        &self,
-        shard: Shard,
-        store: &RunStore,
-        workers: usize,
-        sink: Option<&JsonlSink>,
-    ) -> std::io::Result<ShardManifest> {
-        let grid = self.grid();
-        let keys = self.store_keys();
-        let owned: Vec<usize> = (0..grid.len()).filter(|&i| shard.covers(i)).collect();
-        let mut miss_idx = Vec::new();
-        for &i in &owned {
-            match store.load(&keys[i]) {
-                Some(rec) => {
-                    if let Some(sink) = sink {
-                        sink.emit(&rec, true);
-                    }
-                }
-                None => miss_idx.push(i),
-            }
-        }
-        let hits = owned.len() - miss_idx.len();
-        self.run_missing(&grid, &keys, &miss_idx, store, workers, sink)?;
-        let manifest = ShardManifest {
-            sweep: self.sweep_id(),
-            shard,
-            entries: owned.iter().map(|&i| (i, keys[i].address())).collect(),
-        };
-        manifest.write(store)?;
-        eprintln!(
-            "sweep store [{}] shard {shard}: {hits} hits, {} misses / {} configs",
-            store.dir().display(),
-            miss_idx.len(),
-            owned.len()
-        );
-        Ok(manifest)
-    }
-
-    /// Assemble the results of a sweep previously run as `count` shards
-    /// into `store` (in any order, on any mix of hosts sharing the
-    /// directory). Validates before trusting: every shard's manifest must
-    /// be present and belong to *this* sweep, their entries must cover
-    /// the grid exactly once, each entry's address must match the key
-    /// this spec derives (detecting hash collisions and spec drift), and
-    /// every record must still load. Any violation is a descriptive
-    /// error, never partial results.
-    ///
-    /// The merged records equal a single-process [`run`](SweepSpec::run)
-    /// byte-for-byte.
-    pub fn merge_shards(&self, store: &RunStore, count: usize) -> Result<SweepResults, String> {
-        if count == 0 {
-            return Err("merge: shard count must be >= 1".into());
-        }
-        let keys = self.store_keys();
-        let id = sweep_id(&keys);
-        let mut covered: Vec<Option<Shard>> = vec![None; keys.len()];
-        for index in 0..count {
-            let shard = Shard { index, count };
-            let path = store.dir().join(ShardManifest::file_name(&id, shard));
-            if !path.exists() {
-                return Err(format!(
-                    "merge: shard {shard} of sweep {id} has no manifest in {} — \
-                     did every `--shard i/{count}` run finish?",
-                    store.dir().display()
-                ));
-            }
-            let m = ShardManifest::read(&path)?;
-            if m.sweep != id {
-                return Err(format!(
-                    "merge: manifest {} names sweep {}, expected {id}",
-                    path.display(),
-                    m.sweep
-                ));
-            }
-            if m.shard != shard {
-                return Err(format!(
-                    "merge: manifest {} claims shard {}, expected {shard}",
-                    path.display(),
-                    m.shard
-                ));
-            }
-            for &(gi, ref addr) in &m.entries {
-                let key = keys.get(gi).ok_or_else(|| {
-                    format!(
-                        "merge: shard {shard} covers grid index {gi}, but the grid has {} configs",
-                        keys.len()
-                    )
-                })?;
-                if *addr != key.address() {
-                    return Err(format!(
-                        "merge: grid index {gi} stored as {addr} but this spec derives {} — \
-                         key collision or spec drift",
-                        key.address()
-                    ));
-                }
-                if let Some(prev) = covered[gi] {
-                    return Err(format!(
-                        "merge: grid index {gi} covered by both shard {prev} and shard {shard}"
-                    ));
-                }
-                covered[gi] = Some(shard);
-            }
-        }
-        if let Some(gi) = covered.iter().position(Option::is_none) {
-            return Err(format!(
-                "merge: grid index {gi} ({}) covered by no shard",
-                keys[gi].fingerprint()
-            ));
-        }
-        let mut records = Vec::with_capacity(keys.len());
-        for (gi, key) in keys.iter().enumerate() {
-            records.push(store.load(key).ok_or_else(|| {
-                format!(
-                    "merge: record for grid index {gi} ({}) missing or invalid in {}",
-                    key.fingerprint(),
-                    store.dir().display()
-                )
-            })?);
-        }
-        Ok(SweepResults { records })
     }
 }
 
@@ -435,6 +213,14 @@ pub trait GridCell: Sized + Send {
     /// Rebuild a cell from parsed [`Self::to_store_json`] output. `None`
     /// on any mismatch — the grid treats it as a cache miss and re-runs.
     fn from_store_json(j: &Json, key: &StoreKey) -> Option<Self>;
+
+    /// Whether [`Self::to_store_json`] captures the whole cell. A grid
+    /// never persists a cell that is not storable — replaying it would
+    /// silently drop what the encoding leaves out — so such cells re-run
+    /// every time.
+    fn storable(&self) -> bool {
+        true
+    }
 }
 
 impl GridCell for RunRecord {
@@ -445,16 +231,22 @@ impl GridCell for RunRecord {
     fn from_store_json(j: &Json, key: &StoreKey) -> Option<Self> {
         crate::store::record_from_json(j, key).ok()
     }
+
+    /// Profiler attachments (`regions`, `trace`) are not part of the
+    /// stored encoding.
+    fn storable(&self) -> bool {
+        self.regions.is_none() && self.trace.is_none()
+    }
 }
 
-/// An arbitrary keyed experiment grid with the same store machinery as
-/// [`SweepSpec`] — incremental re-runs, interleaved shards with coverage
-/// manifests, merge validation, JSON-lines streaming — but over *any*
-/// cell type and run closure, not just the (machine × app × policy ×
-/// threads) cartesian product. The keys carry the full configuration
-/// identity (use [`StoreKey::with_variant`] for axes the typed key does
-/// not model); cell `i` is produced by `run(i, &keys[i])` and must be a
-/// pure function of that key.
+/// The store-backed grid engine: incremental re-runs, interleaved shards
+/// with coverage manifests, merge validation and JSON-lines streaming,
+/// over *any* cell type and run closure. [`SweepSpec::keyed`] builds one
+/// for the (machine × app × policy × threads) cartesian product;
+/// experiment binaries with other axes build their own. The keys carry
+/// the full configuration identity (use [`StoreKey::with_variant`] for
+/// axes the typed key does not model); cell `i` is produced by
+/// `run(i, &keys[i])` and must be a pure function of that key.
 pub struct KeyedGrid<'a, T> {
     keys: Vec<StoreKey>,
     run: CellFn<'a, T>,
@@ -487,7 +279,8 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         &self.keys
     }
 
-    /// Content identity of the grid (see [`sweep_id`]).
+    /// Content identity of the grid (see [`sweep_id`]); names the shard
+    /// manifests so different grids can share one store directory.
     pub fn sweep_id(&self) -> String {
         sweep_id(&self.keys)
     }
@@ -495,49 +288,42 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
     /// Run every cell on `workers` threads, no store involved. Results
     /// are in key order regardless of worker count.
     pub fn run_all(&self, workers: usize) -> Vec<T> {
-        let idx: Vec<usize> = (0..self.keys.len()).collect();
-        par_map(&idx, workers, |_, &i| (self.run)(i, &self.keys[i]))
+        par_map(&self.keys, workers, |i, key| (self.run)(i, key))
     }
 
-    /// Run the grid incrementally against `store` (cells whose key
-    /// resolves replay from disk; misses run and are persisted), exactly
-    /// like [`SweepSpec::run_incremental_with`]. Returns the cells in
-    /// key order plus `(hits, misses)`.
+    /// Run the grid *incrementally* against `store`: cells whose key
+    /// resolves to a valid stored cell are replayed from disk; only the
+    /// misses run (on `workers` threads), and every fresh storable cell
+    /// is persisted for next time. The cells equal a cold
+    /// [`run_all`](Self::run_all) byte-for-byte, in key order, so a
+    /// second invocation on unchanged code runs nothing.
+    ///
+    /// Cached cells are streamed to `sink` first (in key order,
+    /// `"cached":true`), then fresh cells as they complete. Returns the
+    /// cells plus `(hits, misses)`, which are also logged to stderr.
     pub fn run_incremental(
         &self,
         store: &RunStore,
         workers: usize,
         sink: Option<&JsonlSink>,
     ) -> std::io::Result<(Vec<T>, usize, usize)> {
-        let mut slots: Vec<Option<T>> = self.keys.iter().map(|k| self.load(store, k)).collect();
-        let miss_idx: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
-        let hits = slots.len() - miss_idx.len();
-        if let Some(sink) = sink {
-            for cell in slots.iter().flatten() {
-                sink.emit_line(&cell.to_store_json(), true);
-            }
-        }
-        let fresh = self.run_missing(&miss_idx, store, workers, sink)?;
-        for (&i, cell) in miss_idx.iter().zip(fresh) {
-            slots[i] = Some(cell);
-        }
+        let all: Vec<usize> = (0..self.keys.len()).collect();
+        let (cells, hits) = self.resolve(&all, store, workers, sink)?;
+        let misses = cells.len() - hits;
         eprintln!(
-            "keyed grid store [{}]: {hits} hits, {} misses / {} cells",
+            "grid store [{}]: {hits} hits, {misses} misses / {} cells",
             store.dir().display(),
-            miss_idx.len(),
-            slots.len()
+            cells.len()
         );
-        let misses = miss_idx.len();
-        Ok((
-            slots.into_iter().map(Option::unwrap).collect(),
-            hits,
-            misses,
-        ))
+        Ok((cells, hits, misses))
     }
 
-    /// Run this process's interleaved slice of the grid into the shared
-    /// store and write its coverage manifest — the keyed counterpart of
-    /// [`SweepSpec::run_shard`].
+    /// Execute this process's slice of a grid partitioned across
+    /// `shard.count` cooperating processes sharing `store`, incrementally
+    /// (cached cells are not re-run), and record a [`ShardManifest`]
+    /// proving which cells this shard covered. Once every shard has run,
+    /// [`merge_shards`](Self::merge_shards) assembles the full grid
+    /// without running a cell.
     pub fn run_shard(
         &self,
         shard: Shard,
@@ -546,19 +332,7 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         sink: Option<&JsonlSink>,
     ) -> std::io::Result<ShardManifest> {
         let owned: Vec<usize> = (0..self.keys.len()).filter(|&i| shard.covers(i)).collect();
-        let mut miss_idx = Vec::new();
-        for &i in &owned {
-            match self.load(store, &self.keys[i]) {
-                Some(cell) => {
-                    if let Some(sink) = sink {
-                        sink.emit_line(&cell.to_store_json(), true);
-                    }
-                }
-                None => miss_idx.push(i),
-            }
-        }
-        let hits = owned.len() - miss_idx.len();
-        self.run_missing(&miss_idx, store, workers, sink)?;
+        let (_, hits) = self.resolve(&owned, store, workers, sink)?;
         let manifest = ShardManifest {
             sweep: self.sweep_id(),
             shard,
@@ -566,16 +340,25 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         };
         manifest.write(store)?;
         eprintln!(
-            "keyed grid store [{}] shard {shard}: {hits} hits, {} misses / {} cells",
+            "grid store [{}] shard {shard}: {hits} hits, {} misses / {} cells",
             store.dir().display(),
-            miss_idx.len(),
+            owned.len() - hits,
             owned.len()
         );
         Ok(manifest)
     }
 
-    /// Assemble a previously sharded grid from the store, with the same
-    /// coverage/collision validation as [`SweepSpec::merge_shards`].
+    /// Assemble the cells of a grid previously run as `count` shards
+    /// into `store` (in any order, on any mix of hosts sharing the
+    /// directory). Validates before trusting: every shard's manifest must
+    /// be present and belong to *this* grid, their entries must cover the
+    /// grid exactly once, each entry's address must match the key this
+    /// grid derives (detecting hash collisions and grid drift), and every
+    /// cell must still load. Any violation is a descriptive error, never
+    /// partial results.
+    ///
+    /// The merged cells equal a single-process [`run_all`](Self::run_all)
+    /// byte-for-byte.
     pub fn merge_shards(&self, store: &RunStore, count: usize) -> Result<Vec<T>, String> {
         if count == 0 {
             return Err("merge: shard count must be >= 1".into());
@@ -652,8 +435,38 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         T::from_store_json(&store.load_cell(key)?, key)
     }
 
-    /// Run cells `miss_idx`, saving and streaming each. The first
-    /// store-write error aborts, like [`SweepSpec`]'s `run_missing`.
+    /// Cells `idx` replayed from `store` where they hit (streamed first)
+    /// and run where they miss, in `idx` order, plus the hit count.
+    fn resolve(
+        &self,
+        idx: &[usize],
+        store: &RunStore,
+        workers: usize,
+        sink: Option<&JsonlSink>,
+    ) -> std::io::Result<(Vec<T>, usize)> {
+        let mut slots: Vec<Option<T>> = idx
+            .iter()
+            .map(|&i| self.load(store, &self.keys[i]))
+            .collect();
+        if let Some(sink) = sink {
+            for cell in slots.iter().flatten() {
+                sink.emit_line(&cell.to_store_json(), true);
+            }
+        }
+        let miss: Vec<usize> = (0..idx.len()).filter(|&p| slots[p].is_none()).collect();
+        let miss_idx: Vec<usize> = miss.iter().map(|&p| idx[p]).collect();
+        let fresh = self.run_missing(&miss_idx, store, workers, sink)?;
+        for (&p, cell) in miss.iter().zip(fresh) {
+            slots[p] = Some(cell);
+        }
+        let hits = idx.len() - miss.len();
+        Ok((slots.into_iter().map(Option::unwrap).collect(), hits))
+    }
+
+    /// Run cells `miss_idx`, saving each [storable](GridCell::storable)
+    /// one and streaming all of them. Returns the fresh cells in
+    /// `miss_idx` order. The first store-write error aborts (a grid that
+    /// cannot persist would silently lose its resume guarantee).
     fn run_missing(
         &self,
         miss_idx: &[usize],
@@ -665,11 +478,13 @@ impl<'a, T: GridCell> KeyedGrid<'a, T> {
         let fresh = par_map(miss_idx, workers, |_, &gi| {
             let cell = (self.run)(gi, &self.keys[gi]);
             let json = cell.to_store_json();
-            if let Err(e) = store.save_cell(&self.keys[gi], &json) {
-                save_errors
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push(e);
+            if cell.storable() {
+                if let Err(e) = store.save_cell(&self.keys[gi], &json) {
+                    save_errors
+                        .lock()
+                        .unwrap_or_else(|p| p.into_inner())
+                        .push(e);
+                }
             }
             if let Some(sink) = sink {
                 sink.emit_line(&json, false);
@@ -700,6 +515,12 @@ pub struct IncrementalSweep {
 #[derive(Clone, Debug)]
 pub struct SweepResults {
     records: Vec<RunRecord>,
+}
+
+impl From<Vec<RunRecord>> for SweepResults {
+    fn from(records: Vec<RunRecord>) -> Self {
+        SweepResults { records }
+    }
 }
 
 impl SweepResults {
@@ -902,6 +723,29 @@ mod tests {
         let other = keyed_test_grid("keyed-test-2");
         let (_, h, m) = other.run_incremental(&store, 2, None).unwrap();
         assert_eq!((h, m), (0, 2), "variant keys never alias");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unstorable_cells_run_every_time_and_are_never_persisted() {
+        let dir = std::env::temp_dir().join(format!("lpomp-keyed-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::store::RunStore::open(&dir).unwrap();
+        let plain = keyed_test_grid("keyed-trace");
+        let grid = KeyedGrid::new(plain.keys().to_vec(), |i, k| RunRecord {
+            trace: Some("{}".to_owned()),
+            ..(plain.run)(i, k)
+        });
+        let n = grid.len();
+        let (cold, h0, m0) = grid.run_incremental(&store, 2, None).unwrap();
+        assert_eq!((h0, m0), (0, n));
+        assert!(store.is_empty(), "records with attachments are not stored");
+        // Replaying `record_json` would lose the traces; the cells re-run.
+        let (warm, h1, m1) = grid.run_incremental(&store, 2, None).unwrap();
+        assert_eq!((h1, m1), (0, n));
+        assert!(store.is_empty());
+        assert!(warm.iter().all(|r| r.trace.is_some()));
+        assert_eq!(warm, cold);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -116,16 +116,20 @@ fn sharded_and_merged_equals_single_process_run_byte_identically() {
     // Run the grid as three cooperating "processes" (any order).
     for index in [2, 0, 1] {
         let shard = Shard { index, count: 3 };
-        let m = spec.run_shard(shard, &store, 2, None).unwrap();
+        let m = spec.keyed().run_shard(shard, &store, 2, None).unwrap();
         assert_eq!(m.shard, shard);
         assert!(!m.entries.is_empty());
     }
-    let merged = spec.merge_shards(&store, 3).unwrap();
+    let merged = spec
+        .keyed()
+        .merge_shards(&store, 3)
+        .map(SweepResults::from)
+        .unwrap();
     assert_eq!(merged.records(), single.records());
 
     // Merging with the wrong shard count fails with a diagnostic rather
     // than returning partial results.
-    let err = spec.merge_shards(&store, 4).unwrap_err();
+    let err = spec.keyed().merge_shards(&store, 4).unwrap_err();
     assert!(err.contains("no manifest"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -135,10 +139,11 @@ fn merge_refuses_incomplete_coverage() {
     let dir = temp_dir("partial");
     let store = RunStore::open(&dir).unwrap();
     let spec = small_spec();
-    spec.run_shard(Shard { index: 0, count: 2 }, &store, 2, None)
+    spec.keyed()
+        .run_shard(Shard { index: 0, count: 2 }, &store, 2, None)
         .unwrap();
     // Shard 2/2 never ran: its manifest is absent.
-    let err = spec.merge_shards(&store, 2).unwrap_err();
+    let err = spec.keyed().merge_shards(&store, 2).unwrap_err();
     assert!(
         err.contains("shard 2/2") && err.contains("no manifest"),
         "{err}"
@@ -163,6 +168,7 @@ fn shards_reuse_cached_records_and_jsonl_streams_every_config() {
     let mut covered = 0;
     for index in 0..2 {
         let m = spec
+            .keyed()
             .run_shard(Shard { index, count: 2 }, &store, 2, Some(&sink))
             .unwrap();
         covered += m.entries.len();
@@ -181,7 +187,11 @@ fn shards_reuse_cached_records_and_jsonl_streams_every_config() {
             .is_some());
     }
     assert_eq!(
-        spec.merge_shards(&store, 2).unwrap().records(),
+        spec.keyed()
+            .merge_shards(&store, 2)
+            .map(SweepResults::from)
+            .unwrap()
+            .records(),
         spec.run().records()
     );
     let _ = std::fs::remove_dir_all(&dir);
