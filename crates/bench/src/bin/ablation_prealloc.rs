@@ -9,16 +9,19 @@
 //! takes zero faults.
 //!
 //! The populate policy is a [`SystemBuilder`] axis outside `SweepSpec`,
-//! so the eight runs fan out with [`lpomp_core::par_map`] directly
-//! (`LPOMP_WORKERS` overrides the worker count).
+//! so the eight runs are a builder grid ([`KeyedGrid::from_builders`];
+//! `LPOMP_WORKERS` overrides the worker count) and the sweep-store flags
+//! of [`lpomp_bench::SweepCli`] work here too.
 //!
-//! Usage: `cargo run --release -p lpomp-bench --bin ablation_prealloc [S|W|A]`
+//! Usage: `cargo run --release -p lpomp-bench --bin ablation_prealloc
+//!         [S|W|A] [--store DIR] [--shard i/n | --merge n] [--jsonl FILE]`
 
 use lpomp::prelude::*;
-use lpomp_bench::class_from_args;
+use lpomp_bench::{class_from_args, sweep_cli_from_args};
 
 fn main() {
     let class = class_from_args();
+    let cli = sweep_cli_from_args();
     println!("Ablation A1: preallocation vs demand faulting (class {class}, CG + MG, 4 threads, Opteron)\n");
     let mut t = TextTable::new(vec![
         "app",
@@ -29,29 +32,29 @@ fn main() {
         "fault cycles",
         "slowdown",
     ]);
-    let grid: Vec<(AppKind, PagePolicy)> = [AppKind::Cg, AppKind::Mg]
-        .into_iter()
-        .flat_map(|app| {
-            [PagePolicy::Small4K, PagePolicy::Large2M]
-                .into_iter()
-                .map(move |policy| (app, policy))
-        })
-        .collect();
-    let pairs = par_map(&grid, default_workers(), |_, &(app, policy)| {
-        let run = |populate| {
-            let b = System::builder(opteron_2x2())
-                .policy(policy)
-                .threads(4)
-                .populate(populate);
-            run_system(app, class, &b, RunOpts::default())
-        };
-        (run(PopulatePolicy::Prefault), run(PopulatePolicy::OnDemand))
-    });
-    for (&(app, policy), (pre, lazy)) in grid.iter().zip(&pairs) {
-        for (label, r) in [("prefault", pre), ("on-demand", lazy)] {
+    let mut cells = Vec::new();
+    for app in [AppKind::Cg, AppKind::Mg] {
+        for policy in [PagePolicy::Small4K, PagePolicy::Large2M] {
+            for populate in [PopulatePolicy::Prefault, PopulatePolicy::OnDemand] {
+                let b = System::builder(opteron_2x2())
+                    .policy(policy)
+                    .threads(4)
+                    .populate(populate);
+                cells.push((app, b));
+            }
+        }
+    }
+    let grid = KeyedGrid::from_builders(cells, class, RunOpts::default(), BackendKind::CycleExact);
+    let sink = cli.sink();
+    let Some(records) = cli.execute(&grid, sink.as_ref()) else {
+        return; // shard mode: the slice and its manifest are in the store
+    };
+    for pair in records.chunks(2) {
+        let pre = &pair[0];
+        for (label, r) in [("prefault", pre), ("on-demand", &pair[1])] {
             t.row(vec![
-                app.to_string(),
-                policy.to_string(),
+                r.app.to_string(),
+                r.policy.to_string(),
                 label.to_owned(),
                 fnum(r.seconds, 4),
                 r.counters.get(Event::PageFaults).to_string(),

@@ -94,15 +94,13 @@ fn main() {
         .iter()
         .map(|(machine, app, policy, threads)| {
             let r0 = Instant::now();
-            let rec = run_backend(
-                BackendKind::Analytic,
-                *app,
-                class,
-                machine.clone(),
-                *policy,
-                *threads,
-                RunOpts::default(),
-            );
+            let builder = SystemBuilder::new(machine.clone())
+                .policy(*policy)
+                .threads(*threads);
+            let rec =
+                BackendKind::Analytic
+                    .backend()
+                    .run(*app, class, &builder, RunOpts::default());
             (rec, r0.elapsed().as_secs_f64())
         })
         .collect();

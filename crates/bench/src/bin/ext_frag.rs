@@ -17,10 +17,11 @@
 //!    (compaction), collapses chunk by chunk within its cycle budget, and
 //!    reaches preallocated-class steady state with no reservation at all.
 //!
-//! The grid runs through a [`KeyedGrid`], so the sweep-store flags work
-//! here too: `--store DIR` replays cached cells, `--shard i/n` /
-//! `--merge n` split the grid across processes, `--jsonl FILE` streams
-//! cells as they complete.
+//! The grid runs through a [`KeyedGrid`] keyed by each job's builder
+//! plus its aging procedure, so the sweep-store flags work here too:
+//! `--store DIR` replays cached cells, `--shard i/n` / `--merge n` split
+//! the grid across processes, `--jsonl FILE` streams cells as they
+//! complete.
 //!
 //! Usage: `cargo run --release -p lpomp-bench --bin ext_frag
 //!         [S|W|A] [--store DIR] [--shard i/n | --merge n] [--jsonl FILE]`
@@ -122,10 +123,9 @@ fn aged_system(builder: &SystemBuilder, kernel: &mut dyn Kernel, severity: f64) 
 }
 
 /// Scenario 2: one-shot stop-the-world collapse on an aged heap.
-fn one_shot(app: AppKind, class: Class, severity: f64) -> Aged {
+fn one_shot(app: AppKind, class: Class, b: &SystemBuilder, severity: f64) -> Aged {
     let mut kernel = app.build(class);
-    let b = System::builder(opteron_2x2()).threads(4).thp();
-    let (mut sys, frag_index) = aged_system(&b, kernel.as_mut(), severity);
+    let (mut sys, frag_index) = aged_system(b, kernel.as_mut(), severity);
     kernel.run(&mut sys.team);
     let run1 = sys.team.elapsed_seconds();
     let report = sys.promote_heap().unwrap();
@@ -146,10 +146,9 @@ fn one_shot(app: AppKind, class: Class, severity: f64) -> Aged {
 }
 
 /// Scenario 3: the incremental khugepaged daemon with compaction.
-fn daemon(app: AppKind, class: Class, severity: f64) -> Aged {
+fn daemon(app: AppKind, class: Class, b: &SystemBuilder, severity: f64) -> Aged {
     let mut kernel = app.build(class);
-    let b = System::builder(opteron_2x2()).threads(4).thp_daemon(true);
-    let (mut sys, frag_index) = aged_system(&b, kernel.as_mut(), severity);
+    let (mut sys, frag_index) = aged_system(b, kernel.as_mut(), severity);
     kernel.run(&mut sys.team);
     let run1 = sys.team.elapsed_seconds();
     let agg1 = sys.team.aggregate_counters();
@@ -169,6 +168,35 @@ fn daemon(app: AppKind, class: Class, severity: f64) -> Aged {
     }
 }
 
+/// One job of the E5 grid.
+enum Job {
+    Prealloc,
+    OneShot(f64),
+    Daemon(f64),
+}
+
+impl Job {
+    /// The system the job runs on; its store key derives from it.
+    fn builder(&self) -> SystemBuilder {
+        let b = System::builder(opteron_2x2()).threads(4);
+        match self {
+            Job::Prealloc => b.policy(PagePolicy::Large2M),
+            Job::OneShot(_) => b.thp(),
+            Job::Daemon(_) => b.thp_daemon(true),
+        }
+    }
+
+    /// What the builder does not hold: the aging procedure, and for the
+    /// baseline its [`Cell::Prealloc`] payload.
+    fn variant(&self) -> String {
+        match self {
+            Job::Prealloc => "frag=prealloc".to_owned(),
+            Job::OneShot(s) => format!("frag=oneshot:severity={s}"),
+            Job::Daemon(s) => format!("frag=daemon:severity={s}"),
+        }
+    }
+}
+
 fn main() {
     let class = class_from_args();
     let cli = sweep_cli_from_args();
@@ -183,49 +211,27 @@ fn main() {
     );
 
     // Every cell is an independent system; run the grid in parallel.
-    enum Job {
-        Prealloc,
-        OneShot(f64),
-        Daemon(f64),
-    }
     let mut jobs = vec![Job::Prealloc];
     for &s in &SEVERITIES {
         jobs.push(Job::OneShot(s));
         jobs.push(Job::Daemon(s));
     }
-    // The typed key axes cover (machine, app, class, policy, threads);
-    // the aging scenario rides in the variant descriptor.
-    let keys: Vec<StoreKey> = jobs
+    let opts = RunOpts::default();
+    let builders: Vec<SystemBuilder> = jobs.iter().map(Job::builder).collect();
+    let keys = jobs
         .iter()
-        .map(|job| {
-            let (policy, variant) = match job {
-                Job::Prealloc => (PagePolicy::Large2M, "frag=prealloc".to_owned()),
-                Job::OneShot(s) => (PagePolicy::Small4K, format!("frag=oneshot:severity={s}")),
-                Job::Daemon(s) => (PagePolicy::Small4K, format!("frag=daemon:severity={s}")),
-            };
-            StoreKey::new(
-                &opteron_2x2(),
-                app,
-                class,
-                policy,
-                4,
-                RunOpts::default(),
-                BackendKind::CycleExact,
-            )
-            .with_variant(&variant)
+        .zip(&builders)
+        .map(|(job, b)| {
+            StoreKey::of(app, class, b, opts, BackendKind::CycleExact).with_variant(&job.variant())
         })
         .collect();
-    let grid = KeyedGrid::new(keys, |i, _key| match jobs[i] {
-        Job::Prealloc => Cell::Prealloc(Box::new(run_sim(
-            app,
-            class,
-            opteron_2x2(),
-            PagePolicy::Large2M,
-            4,
-            RunOpts::default(),
-        ))),
-        Job::OneShot(s) => Cell::Aged(one_shot(app, class, s)),
-        Job::Daemon(s) => Cell::Aged(daemon(app, class, s)),
+    let grid = KeyedGrid::new(keys, |i, _key| {
+        let b = &builders[i];
+        match jobs[i] {
+            Job::Prealloc => Cell::Prealloc(Box::new(run_system(app, class, b, opts))),
+            Job::OneShot(s) => Cell::Aged(one_shot(app, class, b, s)),
+            Job::Daemon(s) => Cell::Aged(daemon(app, class, b, s)),
+        }
     });
     let sink = cli.sink();
     let Some(cells) = cli.execute(&grid, sink.as_ref()) else {

@@ -8,21 +8,24 @@
 //! Mixed should track the 2 MB policy's run time while consuming fewer
 //! reserved large pages.
 //!
-//! The 5-app × 3-policy grid executes through the parallel sweep harness
-//! (`LPOMP_WORKERS` overrides the worker count).
+//! The 5-app × 3-policy grid is a [`SweepSpec`] run through
+//! [`lpomp_bench::SweepCli`] (`LPOMP_WORKERS` overrides the worker
+//! count), so the sweep-store flags work here too.
 //!
-//! Usage: `cargo run --release -p lpomp-bench --bin ext_mixed [S|W|A]`
+//! Usage: `cargo run --release -p lpomp-bench --bin ext_mixed
+//!         [S|W|A] [--store DIR] [--shard i/n | --merge n] [--jsonl FILE]`
 
 use lpomp::prelude::*;
-use lpomp_bench::class_from_args;
+use lpomp_bench::{class_from_args, sweep_cli_from_args};
 
 fn main() {
     let class = class_from_args();
+    let cli = sweep_cli_from_args();
     println!("Extension E1: mixed page policy (class {class}, 4 threads, Opteron)\n");
     let mixed = PagePolicy::Mixed {
         threshold_bytes: 256 * 1024,
     };
-    let results = SweepSpec {
+    let spec = SweepSpec {
         apps: AppKind::PAPER_FIVE.to_vec(),
         class,
         machines: vec![opteron_2x2()],
@@ -30,8 +33,14 @@ fn main() {
         threads: vec![4],
         opts: RunOpts::default(),
         backend: BackendKind::CycleExact,
-    }
-    .run();
+    };
+    let sink = cli.sink();
+    let Some(results) = cli
+        .execute(&spec.keyed(), sink.as_ref())
+        .map(SweepResults::from)
+    else {
+        return; // shard mode: the slice and its manifest are in the store
+    };
     let mut t = TextTable::new(vec![
         "app",
         "4KB (s)",

@@ -27,8 +27,9 @@
 //!
 //! Every row demand-faults (`OnDemand`): placement, not prefault cost,
 //! is under test — and first-touch is only meaningful when the touching
-//! thread takes the fault. The grid runs through a [`KeyedGrid`]
-//! (`LPOMP_WORKERS` overrides the worker count), so the sweep-store
+//! thread takes the fault. The grid runs through
+//! [`KeyedGrid::from_builders`] (`LPOMP_WORKERS` overrides the worker
+//! count), so each cell's key is its builder, and the sweep-store
 //! flags work here too: `--store DIR` replays cached cells,
 //! `--shard i/n` / `--merge n` split the grid across processes,
 //! `--jsonl FILE` streams cells as they complete.
@@ -72,20 +73,27 @@ fn remote_pct(r: &RunRecord) -> String {
     }
 }
 
-/// The `MachineConfig` a cell's builder ends up with: `.numa()` writes
-/// the placement (and replication) into the machine itself, so those
-/// axes land in the typed key via the machine fingerprint.
-fn cell_machine(c: &Cfg) -> MachineConfig {
-    let mut m = opteron_2x2();
-    if let Some(p) = c.placement {
-        let n = NumaConfig::opteron(p);
-        m.numa = Some(if c.replicate {
-            n.with_replicated_pt()
-        } else {
-            n
-        });
+impl Cfg {
+    /// The system the cell runs on — and, through
+    /// [`KeyedGrid::from_builders`], the whole of its store key.
+    fn builder(&self) -> SystemBuilder {
+        let mut b = System::builder(opteron_2x2())
+            .policy(self.policy)
+            .threads(4)
+            .populate(PopulatePolicy::OnDemand);
+        if let Some(p) = self.placement {
+            let n = NumaConfig::opteron(p);
+            b = b.numa(if self.replicate {
+                n.with_replicated_pt()
+            } else {
+                n
+            });
+        }
+        if self.daemon {
+            b = b.numa_daemon(NumaDaemonConfig::default());
+        }
+        b
     }
-    m
 }
 
 fn main() {
@@ -122,34 +130,8 @@ fn main() {
             }
         }
     }
-    // The daemon and demand-faulting knobs live outside the typed key
-    // axes, so they ride in the variant descriptor.
-    let keys: Vec<StoreKey> = grid
-        .iter()
-        .map(|c| {
-            StoreKey::new(
-                &cell_machine(c),
-                c.app,
-                class,
-                c.policy,
-                4,
-                RunOpts::default(),
-                BackendKind::CycleExact,
-            )
-            .with_variant(&format!("numa:daemon={},populate=ondemand", c.daemon))
-        })
-        .collect();
-    let kgrid = KeyedGrid::new(keys, |i, _key| {
-        let c = &grid[i];
-        let mut b = System::builder(cell_machine(c))
-            .policy(c.policy)
-            .threads(4)
-            .populate(PopulatePolicy::OnDemand);
-        if c.daemon {
-            b = b.numa_daemon(NumaDaemonConfig::default());
-        }
-        run_system(c.app, class, &b, RunOpts::default())
-    });
+    let cells = grid.iter().map(|c| (c.app, c.builder())).collect();
+    let kgrid = KeyedGrid::from_builders(cells, class, RunOpts::default(), BackendKind::CycleExact);
     let sink = cli.sink();
     let Some(records) = cli.execute(&kgrid, sink.as_ref()) else {
         return; // shard mode: the slice and its manifest are in the store

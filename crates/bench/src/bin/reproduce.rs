@@ -3,10 +3,10 @@
 //!
 //! Usage: `cargo run --release -p lpomp-bench --bin reproduce [S|W|A]`
 //!
-//! Equivalent to running each `table*` / `fig*` / `ablation_*` / `ext_*`
-//! binary by hand with its output redirected. Expect several minutes at
-//! class W.
+//! Equivalent to running each binary of [`REPRODUCE_TARGETS`] by hand
+//! with its output redirected. Expect several minutes at class W.
 
+use lpomp_bench::REPRODUCE_TARGETS;
 use std::io::Write as _;
 use std::process::Command;
 
@@ -20,28 +20,8 @@ fn main() {
         .expect("bin dir")
         .to_path_buf();
 
-    // (target, takes_class_arg)
-    let targets: &[(&str, bool)] = &[
-        ("table1", false),
-        ("table2", false),
-        ("fig3", true),
-        ("fig4", true),
-        ("fig5", true),
-        ("ablation_prealloc", true),
-        ("ablation_pwc", true),
-        ("ext_mixed", true),
-        ("ext_thp", true),
-        ("ext_numa", true),
-        ("ext_reach", false),
-        ("ext_frag", true),
-        ("ext_tenant", true),
-        ("ext_arch", true),
-        ("profile", true),
-        ("diag", true),
-        ("xval", true),
-    ];
     let mut failures = 0;
-    for (target, takes_class) in targets {
+    for (target, takes_class) in REPRODUCE_TARGETS {
         let exe = exe_dir.join(target);
         let mut cmd = Command::new(&exe);
         if *takes_class {

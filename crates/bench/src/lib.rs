@@ -22,15 +22,37 @@
 //! simulated-evaluation class.
 
 use lpomp_core::{
-    default_workers, run_sim, BackendKind, GridCell, JsonlSink, KeyedGrid, PagePolicy, RunOpts,
-    RunRecord, RunStore, Shard,
+    default_workers, BackendKind, GridCell, JsonlSink, KeyedGrid, RunRecord, RunStore, Shard,
 };
-use lpomp_machine::MachineConfig;
-use lpomp_npb::{AppKind, Class};
+use lpomp_npb::Class;
 use std::path::PathBuf;
 
 #[cfg(feature = "bench")]
 pub mod harness;
+
+/// Every binary `reproduce` runs, in order, and whether it takes the
+/// class argument. A binary that takes it writes `results/<bin>_<class>.txt`,
+/// one that does not writes `results/<bin>.txt`.
+pub const REPRODUCE_TARGETS: &[(&str, bool)] = &[
+    ("table1", false),
+    ("table2", false),
+    ("fig3", true),
+    ("fig4", true),
+    ("fig5", true),
+    ("ablation_prealloc", true),
+    ("ablation_pwc", true),
+    ("ext_mixed", true),
+    ("ext_thp", true),
+    ("ext_numa", true),
+    ("ext_reach", false),
+    ("ext_frag", true),
+    ("ext_tenant", true),
+    ("ext_arch", true),
+    ("ext_sched", true),
+    ("profile", true),
+    ("diag", true),
+    ("xval", true),
+];
 
 /// Flags that consume the following argument when not written `--flag=value`.
 const VALUE_FLAGS: [&str; 4] = ["--store", "--shard", "--merge", "--jsonl"];
@@ -38,7 +60,7 @@ const VALUE_FLAGS: [&str; 4] = ["--store", "--shard", "--merge", "--jsonl"];
 /// The positional (non-flag) CLI arguments, with value-taking flags'
 /// space-form values excluded (so `--shard 1/4` does not leave `1/4`
 /// looking like a class argument).
-fn positional_args() -> Vec<String> {
+pub fn positional_args() -> Vec<String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = Vec::new();
     let mut i = 0;
@@ -87,8 +109,10 @@ pub fn backend_from_args() -> BackendKind {
 
 /// The sweep-store flags shared by every binary that runs its grid
 /// through [`SweepCli::execute`]: the `SweepSpec`-shaped `fig3`, `fig4`,
-/// `fig5`, `xval` and `ext_arch`, and the custom-grid `ext_frag`,
-/// `ext_numa` and `ext_sched`:
+/// `fig5`, `xval`, `ext_arch` and `ext_mixed`, the builder grids of
+/// `ablation_prealloc`, `ablation_pwc`, `diag` and `ext_numa`
+/// ([`KeyedGrid::from_builders`]), and the custom-cell `ext_frag` and
+/// `ext_sched`:
 ///
 /// * `--store DIR` — run incrementally against the content-addressed
 ///   [`RunStore`] at `DIR`: cached configs replay from disk, misses run
@@ -119,7 +143,8 @@ fn runtime_error(msg: &str) -> ! {
     std::process::exit(1)
 }
 
-fn usage_error(msg: &str) -> ! {
+/// Print `msg` plus the flag summary and exit with status 2.
+pub fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: [S|W|A|B] [--backend=cycle|analytic] [--store DIR] [--shard i/n | --merge n] [--jsonl FILE]");
     std::process::exit(2)
@@ -252,32 +277,6 @@ impl SweepCli {
     }
 }
 
-/// Run one app under both page policies at a thread count.
-pub fn run_pair(
-    app: AppKind,
-    class: Class,
-    machine: MachineConfig,
-    threads: usize,
-) -> (RunRecord, RunRecord) {
-    let small = run_sim(
-        app,
-        class,
-        machine.clone(),
-        PagePolicy::Small4K,
-        threads,
-        RunOpts::default(),
-    );
-    let large = run_sim(
-        app,
-        class,
-        machine,
-        PagePolicy::Large2M,
-        threads,
-        RunOpts::default(),
-    );
-    (small, large)
-}
-
 /// Percentage improvement of `large` over `small` run time.
 pub fn improvement_pct(small: &RunRecord, large: &RunRecord) -> f64 {
     lpomp_prof::report::percent_improvement(small.seconds, large.seconds)
@@ -293,19 +292,5 @@ pub fn maybe_write_csv(name: &str, table: &lpomp_prof::TextTable) {
         } else {
             eprintln!("wrote {}", path.display());
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lpomp_machine::opteron_2x2;
-
-    #[test]
-    fn run_pair_is_consistent() {
-        let (s, l) = run_pair(AppKind::Ep, Class::S, opteron_2x2(), 2);
-        assert_eq!(s.policy, PagePolicy::Small4K);
-        assert_eq!(l.policy, PagePolicy::Large2M);
-        assert_eq!(s.checksum, l.checksum);
     }
 }

@@ -14,16 +14,15 @@
 //! process-wide (and optionally on disk, see [`ProfileCache`]).
 //!
 //! ```
-//! use lpomp_core::{run_backend, BackendKind, PagePolicy, RunOpts};
+//! use lpomp_core::{BackendKind, PagePolicy, RunOpts, SystemBuilder};
 //! use lpomp_npb::{AppKind, Class};
 //! use lpomp_machine::opteron_2x2;
 //!
-//! let exact = run_backend(BackendKind::CycleExact, AppKind::Cg, Class::S,
-//!                         opteron_2x2(), PagePolicy::Large2M, 4,
-//!                         RunOpts::default());
-//! let fast = run_backend(BackendKind::Analytic, AppKind::Cg, Class::S,
-//!                        opteron_2x2(), PagePolicy::Large2M, 4,
-//!                        RunOpts::default());
+//! let b = SystemBuilder::new(opteron_2x2()).policy(PagePolicy::Large2M).threads(4);
+//! let run = |kind: BackendKind| {
+//!     kind.backend().run(AppKind::Cg, Class::S, &b, RunOpts::default())
+//! };
+//! let (exact, fast) = (run(BackendKind::CycleExact), run(BackendKind::Analytic));
 //! let err = lpomp_core::xval_seconds_err_pct(fast.seconds, exact.seconds);
 //! assert!(err <= lpomp_core::XVAL_SECONDS_BAND_PCT);
 //! ```
@@ -31,7 +30,7 @@
 use crate::experiment::{run_system, RunOpts, RunRecord};
 use crate::policy::{PagePolicy, PopulatePolicy};
 use crate::system::SystemBuilder;
-use lpomp_machine::{evaluate, AnalyticPoint, MachineConfig};
+use lpomp_machine::{evaluate, AnalyticPoint};
 use lpomp_npb::{AppKind, Class, ProfileCache};
 use lpomp_prof::reuse::StreamProfile;
 use lpomp_runtime::{BumpAllocator, Team};
@@ -161,21 +160,6 @@ impl Backend for Analytic {
             backend: BackendKind::Analytic.label(),
         }
     }
-}
-
-/// Run one configuration through a backend — the backend-generic sibling
-/// of [`crate::run_sim`].
-pub fn run_backend(
-    kind: BackendKind,
-    app: AppKind,
-    class: Class,
-    machine: MachineConfig,
-    policy: PagePolicy,
-    threads: usize,
-    opts: RunOpts,
-) -> RunRecord {
-    let builder = SystemBuilder::new(machine).policy(policy).threads(threads);
-    kind.backend().run(app, class, &builder, opts)
 }
 
 /// The process-wide profile cache the analytic backend draws from.
@@ -324,24 +308,9 @@ mod tests {
     #[test]
     fn analytic_matches_cycle_shape_and_verifies() {
         let opts = RunOpts { verify: true };
-        let exact = run_backend(
-            BackendKind::CycleExact,
-            AppKind::Cg,
-            Class::S,
-            lpomp_machine::opteron_2x2(),
-            PagePolicy::Small4K,
-            2,
-            opts,
-        );
-        let fast = run_backend(
-            BackendKind::Analytic,
-            AppKind::Cg,
-            Class::S,
-            lpomp_machine::opteron_2x2(),
-            PagePolicy::Small4K,
-            2,
-            opts,
-        );
+        let builder = SystemBuilder::new(lpomp_machine::opteron_2x2()).threads(2);
+        let run = |kind: BackendKind| kind.backend().run(AppKind::Cg, Class::S, &builder, opts);
+        let (exact, fast) = (run(BackendKind::CycleExact), run(BackendKind::Analytic));
         assert_eq!(exact.backend, "cycle");
         assert_eq!(fast.backend, "analytic");
         assert_eq!(fast.app, exact.app);
@@ -389,24 +358,13 @@ mod tests {
     fn analytic_preserves_page_size_ordering() {
         // The figure-4 effect must survive the model: 2 MB pages cut CG's
         // DTLB misses and never slow it down.
-        let small = run_backend(
-            BackendKind::Analytic,
-            AppKind::Cg,
-            Class::S,
-            lpomp_machine::opteron_2x2(),
-            PagePolicy::Small4K,
-            4,
-            RunOpts::default(),
-        );
-        let large = run_backend(
-            BackendKind::Analytic,
-            AppKind::Cg,
-            Class::S,
-            lpomp_machine::opteron_2x2(),
-            PagePolicy::Large2M,
-            4,
-            RunOpts::default(),
-        );
+        let run = |policy| {
+            let builder = SystemBuilder::new(lpomp_machine::opteron_2x2())
+                .policy(policy)
+                .threads(4);
+            Analytic.run(AppKind::Cg, Class::S, &builder, RunOpts::default())
+        };
+        let (small, large) = (run(PagePolicy::Small4K), run(PagePolicy::Large2M));
         assert!(large.dtlb_misses() * 2 < small.dtlb_misses());
         assert!(large.seconds <= small.seconds);
     }

@@ -2,13 +2,14 @@
 //! serving-scale result cache behind [`SweepSpec::run_incremental`].
 //!
 //! Every grid point of a sweep is a pure function of its configuration:
-//! `(machine config, page policy, app, class, threads, run opts,
-//! backend, engine version)` fully determines the [`RunRecord`] the
-//! engine produces. The [`RunStore`] exploits that by addressing records
-//! with a [`StoreKey`] — a stable 128-bit hash of a canonical
-//! *fingerprint* string spelling out every one of those inputs — so an
-//! unchanged configuration is a file read instead of a simulation, and
-//! *any* change (a TLB geometry, a cost-model constant behind
+//! `(app, class, system config, run opts, backend, engine version)`
+//! fully determines the [`RunRecord`] the engine produces; the system
+//! config is everything the [`SystemBuilder`] that runs the cell holds.
+//! The [`RunStore`] exploits that by addressing records with a
+//! [`StoreKey`] — a stable 128-bit hash of a canonical *fingerprint*
+//! string spelling out every one of those inputs — so an unchanged
+//! configuration is a file read instead of a simulation, and *any*
+//! change (a TLB geometry, a daemon knob, a cost-model constant behind
 //! [`lpomp_prof::ENGINE_VERSION`], the backend, the verify flag) changes
 //! the key and forces a re-run. Loads re-validate the stored fingerprint
 //! against the requested one, so even a full 128-bit hash collision (or
@@ -49,6 +50,7 @@ use crate::backend::BackendKind;
 use crate::experiment::{RunOpts, RunRecord};
 use crate::policy::PagePolicy;
 use crate::sweep::GridCell;
+use crate::system::SystemBuilder;
 use lpomp_machine::MachineConfig;
 use lpomp_npb::{AppKind, Class};
 use lpomp_prof::{parse_json, Counters, Event, Json, ENGINE_VERSION};
@@ -96,13 +98,51 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_2: u64 = FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15;
 
 impl StoreKey {
-    /// Key for one grid configuration.
+    /// Key for one grid cell: `app` at `class` on the system `builder`
+    /// assembles, evaluated by `backend` with `opts` — the same values
+    /// the cell is run from, so a cell's key and its run cannot drift
+    /// apart.
     ///
-    /// The fingerprint embeds the machine's full `Debug` rendering: every
-    /// field of [`MachineConfig`] (TLB and cache geometries, cost model,
-    /// NUMA layout, …) participates, and a *new* field invalidates old
-    /// keys automatically — deliberately conservative, because a silent
-    /// stale hit is the failure mode this store exists to eliminate.
+    /// The fingerprint embeds the builder's full [`SystemConfig`]
+    /// `Debug` rendering: the machine (TLB and cache geometries, cost
+    /// model, NUMA layout, …), page policy, threads, population, daemons,
+    /// schedule, steal policy, tenancy and profiler all participate, and
+    /// a *new* field invalidates old keys automatically — deliberately
+    /// conservative, because a silent stale hit is the failure mode this
+    /// store exists to eliminate.
+    ///
+    /// [`SystemConfig`]: crate::SystemConfig
+    pub fn of(
+        app: AppKind,
+        class: Class,
+        builder: &SystemBuilder,
+        opts: RunOpts,
+        backend: BackendKind,
+    ) -> StoreKey {
+        let cfg = builder.config();
+        let fingerprint = format!(
+            "engine={ENGINE_VERSION};backend={};arch={};app={app};class={class};\
+             verify={};config={cfg:?}",
+            backend.label(),
+            cfg.machine.arch().descriptor(),
+            opts.verify,
+        );
+        let mut key = StoreKey {
+            hash: [0; 2],
+            fingerprint,
+            app,
+            class,
+            machine: cfg.machine.name,
+            policy: cfg.policy,
+            threads: cfg.threads,
+            backend,
+        };
+        key.rehash();
+        key
+    }
+
+    /// [`Self::of`] on the default builder for `machine`, `policy` and
+    /// `threads`.
     pub fn new(
         machine: &MachineConfig,
         app: AppKind,
@@ -112,66 +152,19 @@ impl StoreKey {
         opts: RunOpts,
         backend: BackendKind,
     ) -> StoreKey {
-        let fingerprint = format!(
-            "engine={ENGINE_VERSION};backend={};arch={};app={app};class={class};\
-             threads={threads};policy={policy:?};verify={};machine={machine:?};tenancy=none",
-            backend.label(),
-            machine.arch().descriptor(),
-            opts.verify,
-        );
-        let mut key = StoreKey {
-            hash: [0; 2],
-            fingerprint,
-            app,
-            class,
-            machine: machine.name,
-            policy,
-            threads,
-            backend,
-        };
-        key.rehash();
-        key
+        let builder = SystemBuilder::new(machine.clone())
+            .policy(policy)
+            .threads(threads);
+        StoreKey::of(app, class, &builder, opts, backend)
     }
 
-    /// Key for the same configuration run as one tenant of a scheduled,
-    /// multi-tenant machine: replaces the `tenancy=none` marker with
-    /// `desc` (e.g. `"rr:slice=2000000:asid=tagged:n=4"`) and
-    /// re-addresses the key. Any change to the scheduler configuration
-    /// must land in `desc`, for the same reason the machine's full debug
-    /// rendering is in the base fingerprint.
-    ///
-    /// # Panics
-    /// Panics when a tenancy descriptor was already applied.
-    pub fn with_tenancy(mut self, desc: &str) -> StoreKey {
-        assert!(
-            self.fingerprint.contains(";tenancy=none"),
-            "tenancy descriptor applied twice"
-        );
-        self.fingerprint = self
-            .fingerprint
-            .replace(";tenancy=none", &format!(";tenancy={desc}"));
-        self.rehash();
-        self
-    }
-
-    /// Key for a *variant* of this configuration that the typed axes do
-    /// not capture — a fragmentation preconditioner, a NUMA placement
-    /// sweep cell, … Appends `;variant={desc}` to the fingerprint and
-    /// re-addresses the key. Composable: distinct descriptors give
-    /// distinct addresses.
+    /// Key for a cell that is *not* a single run of its builder — an
+    /// aging procedure, a kernel without an [`AppKind`] slot — or whose
+    /// payload type differs from a plain [`RunRecord`]. Appends
+    /// `;variant={desc}` to the fingerprint and re-addresses the key.
+    /// Composable: distinct descriptors give distinct addresses.
     pub fn with_variant(mut self, desc: &str) -> StoreKey {
         let _ = write!(self.fingerprint, ";variant={desc}");
-        self.rehash();
-        self
-    }
-
-    /// Key for the same configuration run under a non-default loop
-    /// schedule (the E8 scheduler sweep's axis). Appends `;sched={desc}`
-    /// — e.g. `"hier:chunk=256:rb=2:wfp=1:pfw=1"` — and re-addresses the
-    /// key. The default-schedule key carries no marker, so every record
-    /// persisted before the scheduler existed keeps its address.
-    pub fn with_schedule(mut self, desc: &str) -> StoreKey {
-        let _ = write!(self.fingerprint, ";sched={desc}");
         self.rehash();
         self
     }
@@ -676,114 +669,112 @@ mod tests {
         let base = key(PagePolicy::Small4K, 4);
         assert_eq!(base, key(PagePolicy::Small4K, 4), "same inputs, same key");
         assert_eq!(base.address().len(), 32);
-        // Each configuration axis moves the address.
+        // Each configuration axis moves the address, including a
+        // machine-config detail (not just the name).
+        let on = |m: &MachineConfig, app, class, opts, backend| {
+            StoreKey::new(m, app, class, PagePolicy::Small4K, 4, opts, backend)
+        };
+        let (op, cg, s) = (&opteron_2x2(), AppKind::Cg, Class::S);
+        let (plain, cyc) = (RunOpts::default(), BackendKind::CycleExact);
+        let mut tweaked = opteron_2x2();
+        tweaked.ram_bytes += 1;
         let variants = [
             key(PagePolicy::Large2M, 4),
             key(PagePolicy::Small4K, 2),
-            StoreKey::new(
-                &xeon_2x2_ht(),
-                AppKind::Cg,
-                Class::S,
-                PagePolicy::Small4K,
-                4,
-                RunOpts::default(),
-                BackendKind::CycleExact,
-            ),
-            StoreKey::new(
-                &opteron_2x2(),
-                AppKind::Mg,
-                Class::S,
-                PagePolicy::Small4K,
-                4,
-                RunOpts::default(),
-                BackendKind::CycleExact,
-            ),
-            StoreKey::new(
-                &opteron_2x2(),
-                AppKind::Cg,
-                Class::W,
-                PagePolicy::Small4K,
-                4,
-                RunOpts::default(),
-                BackendKind::CycleExact,
-            ),
-            StoreKey::new(
-                &opteron_2x2(),
-                AppKind::Cg,
-                Class::S,
-                PagePolicy::Small4K,
-                4,
-                RunOpts { verify: true },
-                BackendKind::CycleExact,
-            ),
-            StoreKey::new(
-                &opteron_2x2(),
-                AppKind::Cg,
-                Class::S,
-                PagePolicy::Small4K,
-                4,
-                RunOpts::default(),
-                BackendKind::Analytic,
-            ),
+            on(&xeon_2x2_ht(), cg, s, plain, cyc),
+            on(op, AppKind::Mg, s, plain, cyc),
+            on(op, cg, Class::W, plain, cyc),
+            on(op, cg, s, RunOpts { verify: true }, cyc),
+            on(op, cg, s, plain, BackendKind::Analytic),
+            on(&tweaked, cg, s, plain, cyc),
         ];
         for v in &variants {
             assert_ne!(base.address(), v.address(), "{}", v.fingerprint());
         }
-        // A machine-config detail (not just the name) moves the address.
-        let mut tweaked = opteron_2x2();
-        tweaked.ram_bytes += 1;
-        let t = StoreKey::new(
-            &tweaked,
-            AppKind::Cg,
-            Class::S,
-            PagePolicy::Small4K,
-            4,
-            RunOpts::default(),
-            BackendKind::CycleExact,
-        );
-        assert_ne!(base.address(), t.address());
         assert!(base
             .fingerprint()
             .contains(&format!("engine={ENGINE_VERSION}")));
     }
 
     #[test]
-    fn tenancy_and_variant_move_the_address() {
-        let base = key(PagePolicy::Small4K, 4);
-        assert!(base.fingerprint().ends_with(";tenancy=none"));
-        let ten = base
-            .clone()
-            .with_tenancy("rr:slice=2000000:asid=tagged:n=2");
-        assert_ne!(base.address(), ten.address());
-        assert!(ten
-            .fingerprint()
-            .contains("tenancy=rr:slice=2000000:asid=tagged:n=2"));
-        assert_eq!(ten.address().len(), 32);
-        let v1 = base.clone().with_variant("frag=0.5");
-        let v2 = base.clone().with_variant("frag=0.9");
-        assert_ne!(base.address(), v1.address());
-        assert_ne!(v1.address(), v2.address());
-        // Tenancy composes after a variant (the marker sits mid-string).
-        let both = v1.clone().with_tenancy("rr");
-        assert_ne!(both.address(), v1.address());
-    }
+    fn every_builder_knob_moves_the_address() {
+        use crate::policy::PopulatePolicy;
+        use crate::system::{TenantSpec, DEFAULT_TIMESLICE};
+        use lpomp_machine::{AsidMode, NumaConfig, NumaPlacement};
+        use lpomp_prof::ProfileSpec;
+        use lpomp_runtime::{Schedule, StealPolicy, DEFAULT_QUANTUM};
+        use lpomp_vm::{Arch, KhugepagedConfig, NumaDaemonConfig};
 
-    #[test]
-    fn schedule_descriptor_moves_the_address() {
-        let base = key(PagePolicy::Small4K, 4);
-        let hier = base
-            .clone()
-            .with_schedule("hier:chunk=256:rb=2:wfp=1:pfw=1");
-        assert_ne!(base.address(), hier.address());
-        assert!(hier.fingerprint().contains(";sched=hier:chunk=256"));
-        // Distinct knob settings give distinct addresses…
-        let ablated = base
-            .clone()
-            .with_schedule("hier:chunk=256:rb=2:wfp=0:pfw=1");
-        assert_ne!(hier.address(), ablated.address());
-        // …and the descriptor composes with a variant.
-        let v = base.clone().with_variant("place=ft").with_schedule("hier");
-        assert_ne!(v.address(), base.clone().with_variant("place=ft").address());
+        let of = |b: &SystemBuilder| {
+            StoreKey::of(
+                AppKind::Cg,
+                Class::S,
+                b,
+                RunOpts::default(),
+                BackendKind::CycleExact,
+            )
+        };
+        let base = SystemBuilder::new(opteron_2x2())
+            .policy(PagePolicy::Small4K)
+            .threads(4);
+        assert_eq!(of(&base), of(&base.clone()), "identical builders");
+        assert_eq!(of(&base), key(PagePolicy::Small4K, 4), "new == of(default)");
+
+        let first_touch = NumaConfig::opteron(NumaPlacement::FirstTouch);
+        let khd = KhugepagedConfig::default();
+        let knobs: Vec<(&str, SystemBuilder)> = vec![
+            ("populate", base.clone().populate(PopulatePolicy::OnDemand)),
+            ("quantum", base.clone().quantum(DEFAULT_QUANTUM * 2)),
+            ("private_heap", base.clone().private_heap(true)),
+            ("khugepaged", base.clone().khugepaged(khd)),
+            (
+                "khugepaged budget",
+                base.clone().khugepaged(KhugepagedConfig {
+                    cycle_budget: khd.cycle_budget + 1,
+                    ..khd
+                }),
+            ),
+            ("numa", base.clone().numa(first_touch)),
+            (
+                "numa replication",
+                base.clone().numa(first_touch.with_replicated_pt()),
+            ),
+            (
+                "numa_daemon",
+                base.clone().numa_daemon(NumaDaemonConfig::default()),
+            ),
+            ("schedule", base.clone().schedule(Schedule::Dynamic(256))),
+            (
+                "schedule chunk",
+                base.clone().schedule(Schedule::Hierarchical { chunk: 256 }),
+            ),
+            (
+                "steal_policy",
+                base.clone().steal_policy(StealPolicy {
+                    work_follows_pages: false,
+                    ..StealPolicy::default()
+                }),
+            ),
+            (
+                "tenants",
+                base.clone()
+                    .tenants(vec![TenantSpec::new("a", AppKind::Cg, Class::S, 2)]),
+            ),
+            ("timeslice", base.clone().timeslice(DEFAULT_TIMESLICE / 2)),
+            ("asid_mode", base.clone().asid_mode(AsidMode::FlushOnSwitch)),
+            ("arch", base.clone().arch(Arch::ARM64_4K)),
+            ("profile", base.clone().profile(ProfileSpec::Regions)),
+        ];
+        let mut keys = vec![("base", of(&base))];
+        keys.extend(knobs.iter().map(|(name, b)| (*name, of(b))));
+        keys.push(("variant", of(&base).with_variant("frag=0.5")));
+        keys.push(("other variant", of(&base).with_variant("frag=0.9")));
+        for (i, (a, ka)) in keys.iter().enumerate() {
+            assert_eq!(ka.address().len(), 32);
+            for (b, kb) in &keys[i + 1..] {
+                assert_ne!(ka.address(), kb.address(), "{a} and {b} share a key");
+            }
+        }
     }
 
     #[test]
@@ -866,7 +857,7 @@ mod tests {
 
         // Fingerprint drift under the right file name (a collision or a
         // renamed file): miss, never a wrong record.
-        let collided = good.replace("policy=Small4K", "policy=Large2M");
+        let collided = good.replace("policy: Small4K", "policy: Large2M");
         assert_ne!(collided, good);
         std::fs::write(&path, &collided).unwrap();
         assert!(store.load(&k).is_none(), "collision must miss");

@@ -1,16 +1,19 @@
 //! Experiment grids: run a cartesian sweep of (application × machine ×
 //! policy × thread count) and query the results.
 //!
-//! The figure binaries are thin wrappers over [`run_backend`]; downstream
-//! users studying their own questions ("what does a 512-entry L2 TLB do
-//! to SP?") want the sweep as a *library*: build a [`SweepSpec`], run it,
-//! and slice the [`SweepResults`] by any axis.
+//! Every grid cell is an `(app, SystemBuilder)` pair evaluated at one
+//! class, with one [`RunOpts`] and [`BackendKind`]; its store key and its
+//! run both come from that one value ([`KeyedGrid::from_builders`]).
+//! Downstream users studying their own questions ("what does a 512-entry
+//! L2 TLB do to SP?") want the sweep as a *library*: build a
+//! [`SweepSpec`], run it, and slice the [`SweepResults`] by any axis.
 
-use crate::backend::{run_backend, BackendKind};
+use crate::backend::BackendKind;
 use crate::experiment::{RunOpts, RunRecord};
 use crate::parallel::{default_workers, par_map};
 use crate::policy::PagePolicy;
 use crate::store::{sweep_id, JsonlSink, RunStore, Shard, ShardManifest, StoreKey};
+use crate::system::SystemBuilder;
 use lpomp_machine::MachineConfig;
 use lpomp_npb::{AppKind, Class};
 use lpomp_prof::Json;
@@ -130,47 +133,28 @@ impl SweepSpec {
         SweepResults { records }
     }
 
-    /// The [`StoreKey`] of every grid configuration, in canonical grid
-    /// order — index `i` here is "grid index `i`" everywhere in the
-    /// store/shard machinery.
-    pub fn store_keys(&self) -> Vec<StoreKey> {
-        self.grid()
-            .iter()
-            .map(|&(machine, app, policy, threads)| {
-                StoreKey::new(
-                    machine,
-                    app,
-                    self.class,
-                    policy,
-                    threads,
-                    self.opts,
-                    self.backend,
-                )
-            })
-            .collect()
-    }
-
-    /// The sweep as a [`KeyedGrid`] over [`store_keys`](Self::store_keys):
-    /// cell `i` runs grid point `i` through [`run_backend`]. Use it for
-    /// shards, merges, and incremental runs with a worker count or sink.
+    /// The sweep as a [`KeyedGrid`]: the canonical grid turned into one
+    /// default [`SystemBuilder`] per point and handed to
+    /// [`KeyedGrid::from_builders`]. Index `i` of its
+    /// [`keys`](KeyedGrid::keys) is "grid index `i`" everywhere in the
+    /// store/shard machinery. Use it for shards, merges, and incremental
+    /// runs with a worker count or sink.
     ///
     /// Analytic cells capture their profile on first use. The profile
     /// cache holds its lock across a capture, so racing workers wait
     /// rather than duplicate one, and profiles are deterministic.
     pub fn keyed(&self) -> KeyedGrid<'_, RunRecord> {
-        let grid = self.grid();
-        KeyedGrid::new(self.store_keys(), move |i, _key| {
-            let (machine, app, policy, threads) = grid[i];
-            run_backend(
-                self.backend,
-                app,
-                self.class,
-                machine.clone(),
-                policy,
-                threads,
-                self.opts,
-            )
-        })
+        let cells = self
+            .grid()
+            .into_iter()
+            .map(|(machine, app, policy, threads)| {
+                let builder = SystemBuilder::new(machine.clone())
+                    .policy(policy)
+                    .threads(threads);
+                (app, builder)
+            })
+            .collect();
+        KeyedGrid::from_builders(cells, self.class, self.opts, self.backend)
     }
 
     /// Execute the sweep *incrementally* against `store`: configurations
@@ -243,10 +227,11 @@ impl GridCell for RunRecord {
 /// with coverage manifests, merge validation and JSON-lines streaming,
 /// over *any* cell type and run closure. [`SweepSpec::keyed`] builds one
 /// for the (machine × app × policy × threads) cartesian product;
-/// experiment binaries with other axes build their own. The keys carry
-/// the full configuration identity (use [`StoreKey::with_variant`] for
-/// axes the typed key does not model); cell `i` is produced by
-/// `run(i, &keys[i])` and must be a pure function of that key.
+/// [`KeyedGrid::from_builders`] for any list of builders. Cells that are
+/// not a single run of their builder build their own keys, adding a
+/// [`StoreKey::with_variant`] descriptor for what the builder does not
+/// hold; cell `i` is produced by `run(i, &keys[i])` and must be a pure
+/// function of that key.
 pub struct KeyedGrid<'a, T> {
     keys: Vec<StoreKey>,
     run: CellFn<'a, T>,
@@ -254,6 +239,28 @@ pub struct KeyedGrid<'a, T> {
 
 /// The boxed cell-producing closure of a [`KeyedGrid`].
 type CellFn<'a, T> = Box<dyn Fn(usize, &StoreKey) -> T + Sync + 'a>;
+
+impl<'a> KeyedGrid<'a, RunRecord> {
+    /// The grid of single runs: cell `i` is `cells[i].0` run on the
+    /// system `cells[i].1` builds, keyed by [`StoreKey::of`] and run by
+    /// `backend` from that same builder — so every knob the builder sets
+    /// is in the key.
+    pub fn from_builders(
+        cells: Vec<(AppKind, SystemBuilder)>,
+        class: Class,
+        opts: RunOpts,
+        backend: BackendKind,
+    ) -> Self {
+        let keys = cells
+            .iter()
+            .map(|(app, builder)| StoreKey::of(*app, class, builder, opts, backend))
+            .collect();
+        KeyedGrid::new(keys, move |i, _key| {
+            let (app, builder) = &cells[i];
+            backend.backend().run(*app, class, builder, opts)
+        })
+    }
+}
 
 impl<'a, T: GridCell> KeyedGrid<'a, T> {
     /// A grid over `keys`, with `run` producing cell `i` from key `i`.
@@ -665,34 +672,17 @@ mod tests {
     }
 
     fn keyed_test_grid(variant: &str) -> KeyedGrid<'static, RunRecord> {
-        const THREADS: [usize; 2] = [1, 2];
-        let m = opteron_2x2();
-        let keys: Vec<StoreKey> = THREADS
+        let cells = [1, 2]
+            .map(|t| (AppKind::Ep, SystemBuilder::new(opteron_2x2()).threads(t)))
+            .to_vec();
+        let plain =
+            KeyedGrid::from_builders(cells, Class::S, RunOpts::default(), BackendKind::CycleExact);
+        let keys = plain
+            .keys()
             .iter()
-            .map(|&t| {
-                StoreKey::new(
-                    &m,
-                    AppKind::Ep,
-                    Class::S,
-                    PagePolicy::Small4K,
-                    t,
-                    RunOpts::default(),
-                    BackendKind::CycleExact,
-                )
-                .with_variant(variant)
-            })
+            .map(|k| k.clone().with_variant(variant))
             .collect();
-        KeyedGrid::new(keys, |i, _k| {
-            run_backend(
-                BackendKind::CycleExact,
-                AppKind::Ep,
-                Class::S,
-                opteron_2x2(),
-                PagePolicy::Small4K,
-                THREADS[i],
-                RunOpts::default(),
-            )
-        })
+        KeyedGrid::new(keys, move |i, k| (plain.run)(i, k))
     }
 
     #[test]

@@ -405,6 +405,19 @@ impl System {
         let (aspace, setup, heap_base, walker) =
             Self::build_parts(cfg, kernel, &mut machine, None)?;
         let mut engine = SimEngine::new(machine, aspace, cfg.threads, walker, cfg.quantum);
+        Self::configure_engine(&mut engine, cfg);
+        Ok(System {
+            team: Team::simulated(engine),
+            setup,
+            heap_base,
+        })
+    }
+
+    /// Wire the engine-side knobs of `cfg` — daemons, profiler, loop
+    /// schedule, steal policy — into a freshly built engine. The one
+    /// place a new engine knob is attached, for single- and
+    /// multi-tenant systems alike.
+    fn configure_engine(engine: &mut SimEngine, cfg: &SystemConfig) {
         if let Some(k) = cfg.khugepaged {
             engine.enable_khugepaged(k);
         }
@@ -414,11 +427,6 @@ impl System {
         engine.enable_profiling(cfg.profile);
         engine.set_schedule_override(cfg.schedule);
         engine.set_steal_policy(cfg.steal);
-        Ok(System {
-            team: Team::simulated(engine),
-            setup,
-            heap_base,
-        })
     }
 
     /// Steps (2)–(6) of bring-up for one process: code segment (plus the
@@ -847,15 +855,7 @@ impl MultiSystem {
             let placeholder = Machine::new(cfg.machine.clone());
             let mut engine =
                 SimEngine::new(placeholder, aspace, spec.threads, walker, tcfg.quantum);
-            if let Some(k) = tcfg.khugepaged {
-                engine.enable_khugepaged(k);
-            }
-            if let Some(nd) = tcfg.numa_daemon {
-                engine.enable_numa_daemon(nd);
-            }
-            engine.enable_profiling(tcfg.profile);
-            engine.set_schedule_override(tcfg.schedule);
-            engine.set_steal_policy(tcfg.steal);
+            System::configure_engine(&mut engine, &tcfg);
             refs.push(kernel.reference());
             setup.push(s);
             tasks.push(TenantTask {

@@ -44,8 +44,8 @@ fn repeated_incremental_run_is_all_hits_with_zero_engine_runs() {
     );
 
     // The tentpole guarantee: unchanged code ⇒ zero engine runs. Every
-    // config is a hit, and `misses` — which counts exactly the
-    // `run_backend` invocations — is zero.
+    // config is a hit, and `misses` — which counts exactly the backend
+    // runs — is zero.
     let warm = spec.run_incremental(&store).unwrap();
     assert_eq!(
         (warm.hits, warm.misses),
@@ -72,7 +72,7 @@ fn interrupted_sweep_resumes_with_only_missing_configs_rerun() {
     // Simulate an interrupted sweep: 3 of the records never made it to
     // disk. (Deleting files is exactly the state a killed process leaves,
     // since each record is written as its config completes.)
-    let keys = spec.store_keys();
+    let keys = spec.keyed().keys().to_vec();
     for key in [&keys[1], &keys[4], &keys[6]] {
         std::fs::remove_file(dir.join(key.file_name())).unwrap();
     }
