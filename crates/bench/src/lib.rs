@@ -22,7 +22,8 @@
 //! simulated-evaluation class.
 
 use lpomp_core::{
-    default_workers, BackendKind, GridCell, JsonlSink, KeyedGrid, RunRecord, RunStore, Shard,
+    default_workers, workers_from_env, BackendKind, GridCell, JsonlSink, KeyedGrid, RunRecord,
+    RunStore, Shard,
 };
 use lpomp_npb::Class;
 use std::path::PathBuf;
@@ -79,8 +80,12 @@ pub fn positional_args() -> Vec<String> {
 }
 
 /// Parse the class argument (first non-flag CLI arg), defaulting to `W`.
-/// An unknown class is a usage error (exit status 2).
+/// An unknown class, or an `LPOMP_WORKERS` value that is not a positive
+/// integer, is a usage error (exit status 2).
 pub fn class_from_args() -> Class {
+    if let Err(e) = workers_from_env() {
+        usage_error(&e);
+    }
     let positional = positional_args().into_iter().next();
     match positional.as_deref() {
         Some("S") | Some("s") => Class::S,

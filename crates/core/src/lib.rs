@@ -66,7 +66,7 @@ pub use backend::{
 pub use experiment::{figure4_thread_counts, run_sim, run_system, RunOpts, RunRecord};
 pub use lpomp_prof::ProfileSpec;
 pub use lpomp_vm::{Arch, MMArch};
-pub use parallel::{default_workers, par_map};
+pub use parallel::{default_workers, par_map, workers_from_env};
 pub use policy::{PagePolicy, PopulatePolicy};
 pub use store::{sweep_id, JsonlSink, RunStore, Shard, ShardManifest, StoreKey};
 pub use sweep::{GridCell, IncrementalSweep, KeyedGrid, SweepResults, SweepSpec};

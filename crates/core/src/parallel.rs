@@ -14,18 +14,34 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable overriding the worker count used by
 /// [`default_workers`] (and thus by [`crate::SweepSpec::run`] and the
-/// figure binaries). Values below 1 or unparsable are ignored.
+/// figure binaries). It must be a positive integer; see
+/// [`workers_from_env`].
 pub const WORKERS_ENV: &str = "LPOMP_WORKERS";
+
+/// The [`WORKERS_ENV`] override: `Ok(None)` when unset, `Ok(Some(n))`
+/// for a positive integer `n`, and an error naming the value otherwise
+/// (`0`, negative, or not a number). The figure binaries refuse such a
+/// value as a usage error before running anything.
+pub fn workers_from_env() -> Result<Option<usize>, String> {
+    let Some(v) = std::env::var_os(WORKERS_ENV) else {
+        return Ok(None);
+    };
+    match v.to_str().and_then(|s| s.trim().parse::<usize>().ok()) {
+        Some(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!("{WORKERS_ENV}={v:?}: expected a positive integer")),
+    }
+}
 
 /// The worker count to use when the caller expresses no preference:
 /// `LPOMP_WORKERS` if set to a positive integer, else the host's
-/// available parallelism.
+/// available parallelism. A malformed value is reported on stderr and
+/// ignored; binaries that must refuse it check [`workers_from_env`]
+/// first.
 pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var(WORKERS_ENV) {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => eprintln!("ignoring {WORKERS_ENV}={v:?}: expected a positive integer"),
-        }
+    match workers_from_env() {
+        Ok(Some(n)) => return n,
+        Ok(None) => {}
+        Err(e) => eprintln!("ignoring {e}"),
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

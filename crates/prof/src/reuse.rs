@@ -155,17 +155,19 @@ impl SetTracker {
     #[inline]
     fn access(&mut self, key: u64) -> Option<usize> {
         let set = &mut self.sets[(key & self.mask) as usize];
-        if let Some(pos) = set.iter().position(|&k| k == key) {
-            let k = set.remove(pos);
-            set.insert(0, k);
-            Some(pos)
-        } else {
-            if set.len() == CONFLICT_DEPTH {
-                set.pop();
+        let pos = set.iter().position(|&k| k == key);
+        match pos {
+            Some(p) => set[..=p].rotate_right(1),
+            None => {
+                if set.len() < CONFLICT_DEPTH {
+                    set.push(key);
+                } else {
+                    set[CONFLICT_DEPTH - 1] = key;
+                }
+                set.rotate_right(1);
             }
-            set.insert(0, key);
-            None
         }
+        pos
     }
 }
 
@@ -302,18 +304,35 @@ type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 // ---------------------------------------------------------------------
 // Exact LRU stack-distance tracking.
 
+/// Depth of a [`ReuseTracker`]'s MRU front.
+const FRONT: usize = 32;
+
 /// Exact per-thread LRU stack distances over a key stream (keys are
 /// line/page numbers). `access` returns the number of *distinct other*
 /// keys touched since the key's previous access (`None` on first touch),
 /// so a fully-associative LRU structure of capacity `C` hits iff the
 /// distance is `< C`.
 ///
-/// Implementation: each key's latest access occupies one time slot; a
-/// Fenwick tree over slots counts, in `O(log n)`, how many keys were
-/// last accessed after a given slot. Slots are renumbered (compacted)
-/// when exhausted, amortizing to near-constant per access.
+/// Implementation: a two-level LRU stack. The 32 most recently used keys
+/// (the *front*) sit MRU-first in a small array, so a reuse among them
+/// (most accesses: immediate repeats and short loops) is a linear scan and
+/// a rotation, with no hashing. Older keys live below it in time order: each
+/// one's last-access slot is marked in a Fenwick tree, which counts in
+/// `O(log n)` how many tree keys are more recent than a given slot. Keys
+/// leave the front from its LRU end, taking the next tree slot, so every
+/// tree key is older than every front key and a tree key's distance is the
+/// front's length plus the tree keys after its slot. Slots are renumbered
+/// (compacted) when exhausted, amortizing to near-constant per access.
 pub struct ReuseTracker {
-    last: FxMap<u64, u32>,
+    /// MRU-first keys of the front; `front[..front_len]` are live.
+    front: [u64; FRONT],
+    /// Slab id of each front key.
+    front_id: [u32; FRONT],
+    front_len: usize,
+    /// Key → slab id, for every key seen.
+    ids: FxMap<u64, u32>,
+    /// Slab id → tree slot; 0 while the key is in the front.
+    slot: Vec<u32>,
     tree: Vec<u32>,
     cap: u32,
     time: u32,
@@ -330,7 +349,11 @@ impl ReuseTracker {
     pub fn new() -> Self {
         let cap = 1 << 16;
         ReuseTracker {
-            last: FxMap::default(),
+            front: [0; FRONT],
+            front_id: [0; FRONT],
+            front_len: 0,
+            ids: FxMap::default(),
+            slot: Vec::new(),
             tree: vec![0; cap as usize + 1],
             cap,
             time: 0,
@@ -364,38 +387,84 @@ impl ReuseTracker {
     }
 
     /// Record an access; returns the reuse distance, `None` when cold.
+    #[inline]
     pub fn access(&mut self, key: u64) -> Option<u64> {
+        let n = self.front_len;
+        if let Some(p) = self.front[..n].iter().position(|&k| k == key) {
+            self.push_front(p, key, self.front_id[p]);
+            return Some(p as u64);
+        }
+        self.access_tree(key)
+    }
+
+    /// [`Self::access`] for a key outside the front: look it up in the
+    /// tree (or register it), then push it onto the front.
+    fn access_tree(&mut self, key: u64) -> Option<u64> {
+        let next = self.slot.len() as u32;
+        let id = *self.ids.entry(key).or_insert(next);
+        let dist = if id == next {
+            self.slot.push(0);
+            None
+        } else {
+            let s = self.slot[id as usize];
+            let d = self.front_len as u32 + self.prefix(self.time) - self.prefix(s);
+            self.dec(s);
+            self.slot[id as usize] = 0;
+            Some(u64::from(d))
+        };
+        if self.front_len == FRONT {
+            self.evict(self.front_id[FRONT - 1]);
+        } else {
+            self.front_len += 1;
+        }
+        self.push_front(self.front_len - 1, key, id);
+        dist
+    }
+
+    /// Shift the front's first `end` entries down one place and put
+    /// `key` (slab id `id`) first.
+    #[inline]
+    fn push_front(&mut self, end: usize, key: u64, id: u32) {
+        self.front.copy_within(0..end, 1);
+        self.front_id.copy_within(0..end, 1);
+        self.front[0] = key;
+        self.front_id[0] = id;
+    }
+
+    /// Move the front's LRU key (slab id `id`) into the next tree slot.
+    fn evict(&mut self, id: u32) {
         if self.time == self.cap {
             self.compact();
         }
-        let dist = self.last.get(&key).copied().map(|s| {
-            let d = self.prefix(self.time) - self.prefix(s);
-            self.dec(s);
-            u64::from(d)
-        });
         self.time += 1;
         let t = self.time;
         self.inc(t);
-        self.last.insert(key, t);
-        dist
+        self.slot[id as usize] = t;
     }
 
     /// Number of distinct keys seen so far.
     pub fn distinct(&self) -> usize {
-        self.last.len()
+        self.slot.len()
     }
 
+    /// Renumber the tree's slots `1..=live` in time order.
     fn compact(&mut self) {
-        let mut pairs: Vec<(u32, u64)> = self.last.iter().map(|(&k, &s)| (s, k)).collect();
-        pairs.sort_unstable();
-        let live = pairs.len() as u32;
-        self.cap = live.saturating_mul(2).max(1 << 16).next_power_of_two();
+        let mut live: Vec<(u32, u32)> = self
+            .slot
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s != 0)
+            .map(|(id, &s)| (s, id as u32))
+            .collect();
+        live.sort_unstable();
+        let n = live.len() as u32;
+        self.cap = n.saturating_mul(2).max(1 << 16).next_power_of_two();
         self.tree = vec![0; self.cap as usize + 1];
-        self.time = live;
-        for (i, &(_, key)) in pairs.iter().enumerate() {
-            let slot = i as u32 + 1;
-            self.inc(slot);
-            self.last.insert(key, slot);
+        self.time = n;
+        for (i, &(_, id)) in live.iter().enumerate() {
+            let s = i as u32 + 1;
+            self.inc(s);
+            self.slot[id as usize] = s;
         }
     }
 }
@@ -1250,32 +1319,57 @@ mod tests {
         out
     }
 
-    #[test]
-    fn tracker_matches_naive_reference() {
-        // Deterministic pseudo-random key stream with heavy reuse.
-        let mut state = 0x1234_5678_u64;
-        let keys: Vec<u64> = (0..2000)
+    /// Deterministic pseudo-random stream of `n` keys below `universe`.
+    fn lcg_keys(n: usize, universe: u64, mut state: u64) -> Vec<u64> {
+        (0..n)
             .map(|_| {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                (state >> 33) % 97
+                (state >> 33) % universe
             })
-            .collect();
-        let want = naive_distances(&keys);
-        let mut tr = ReuseTracker::new();
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(tr.access(k), want[i], "access {i} key {k}");
+            .collect()
+    }
+
+    #[test]
+    fn tracker_matches_naive_reference() {
+        // Universes below, at and above the front depth: the stream hits
+        // every front position, fills and evicts the front, and re-enters
+        // keys from the tree.
+        for universe in [20u64, 32, 33, 97] {
+            let keys = lcg_keys(2000, universe, 0x1234_5678 ^ universe);
+            let want = naive_distances(&keys);
+            let mut tr = ReuseTracker::new();
+            let mut seen = [false; FRONT];
+            let mut deep = 0;
+            for (i, &k) in keys.iter().enumerate() {
+                let got = tr.access(k);
+                assert_eq!(got, want[i], "universe {universe} access {i} key {k}");
+                match got {
+                    Some(d) if d < FRONT as u64 => seen[d as usize] = true,
+                    Some(_) => deep += 1,
+                    None => {}
+                }
+            }
+            assert_eq!(tr.distinct(), universe as usize);
+            let front_hits = seen.iter().filter(|&&s| s).count();
+            assert_eq!(
+                front_hits,
+                FRONT.min(universe as usize),
+                "universe {universe}"
+            );
+            assert_eq!(deep > 0, universe > FRONT as u64, "universe {universe}");
         }
-        assert_eq!(tr.distinct(), 97);
     }
 
     #[test]
     fn tracker_survives_compaction() {
-        // Force several compactions with a small working set: distances
-        // stay exact across renumbering.
+        // A working set of 50 cycled in order keeps the front full and
+        // evicts one key into the tree on every access: 160 k evictions
+        // compact the 64 k-slot tree twice while the front is full, and
+        // distances stay exact across renumbering.
         let mut tr = ReuseTracker::new();
-        for round in 0..3u64 {
+        for round in 0..4u64 {
             for k in 0..40_000u64 {
                 let d = tr.access(k % 50);
                 if round > 0 || k >= 50 {
@@ -1283,6 +1377,12 @@ mod tests {
                 }
             }
         }
+        assert_eq!(tr.distinct(), 50);
+        // The last access was key 49: key 40 is in the front, key 0 in
+        // the tree.
+        assert_eq!(tr.access(40), Some(9));
+        assert_eq!(tr.access(0), Some(49));
+        assert_eq!(tr.distinct(), 50);
     }
 
     #[test]
@@ -1446,5 +1546,38 @@ mod tests {
         assert_eq!(tr.access(0), None);
         // Key at depth 1 survives and reports its exact distance.
         assert_eq!(tr.access(CONFLICT_DEPTH as u64 * set_stride), Some(1));
+    }
+
+    #[test]
+    fn set_tracker_matches_naive_per_set_lru() {
+        // Few sets, 40 keys per set: reuses land at every tracked depth and
+        // below it, where the truncated row must report `None`.
+        let shape = ConflictShape {
+            granularity: GRAN_LINE,
+            sets: 4,
+            ways: 2,
+        };
+        let keys = lcg_keys(5000, 4 * 40, 0x5eed);
+        let mut tr = SetTracker::new(&shape);
+        // Untruncated MRU-first stacks, one per set.
+        let mut stacks: Vec<Vec<u64>> = vec![Vec::new(); 4];
+        let (mut seen, mut truncated) = ([false; CONFLICT_DEPTH], 0);
+        for (i, &k) in keys.iter().enumerate() {
+            let stack = &mut stacks[(k % 4) as usize];
+            let pos = stack.iter().position(|&x| x == k);
+            if let Some(p) = pos {
+                stack.remove(p);
+            }
+            stack.insert(0, k);
+            let want = pos.filter(|&p| p < CONFLICT_DEPTH);
+            assert_eq!(tr.access(k), want, "access {i} key {k}");
+            match (pos, want) {
+                (_, Some(p)) => seen[p] = true,
+                (Some(_), None) => truncated += 1,
+                (None, None) => {}
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every tracked depth reused");
+        assert!(truncated > 0, "some reuses fell below the tracked depth");
     }
 }

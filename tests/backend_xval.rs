@@ -4,7 +4,8 @@
 //!
 //! * plain tests — a small class-S slice, always on;
 //! * `smoke_*` (ignored) — the full class-S Figure 4 grid plus the
-//!   host-time budget assertion; CI's `backend-xval` step runs these;
+//!   host-time budgets (analytic evaluation, profile capture); CI's
+//!   `backend-xval` step runs these;
 //! * `bands_*` (ignored) — the full class-W golden grid, the
 //!   configurations behind `results/fig4_W.txt` / `fig5_W.txt`; CI's
 //!   bands job runs these.
@@ -156,6 +157,47 @@ fn smoke_analytic_grid_is_fast() {
         "analytic grid took {:.3}s, over 5% of the {:.3}s cycle grid",
         analytic_host.as_secs_f64(),
         cycle_host.as_secs_f64()
+    );
+}
+
+#[test]
+#[ignore = "full class-S grid; CI backend-xval step runs with --ignored smoke_"]
+fn smoke_capture_is_cheap() {
+    use std::time::{Duration, Instant};
+    let spec = SweepSpec::figure4(Class::S);
+
+    // Key by key, each capture is timed next to the cycle cells it
+    // stands in for, so load from tests running alongside falls on both
+    // sides alike. Every capture is cold: `capture_profile` directly,
+    // never the process-wide profile cache that sibling tests warm.
+    let (mut capture_host, mut cycle_host) = (Duration::ZERO, Duration::ZERO);
+    let mut cells = 0;
+    for &threads in &spec.threads {
+        for &app in &spec.apps {
+            let t0 = Instant::now();
+            std::hint::black_box(lpomp_core::capture_profile(app, spec.class, threads));
+            capture_host += t0.elapsed();
+
+            let key = SweepSpec {
+                apps: vec![app],
+                threads: vec![threads],
+                ..spec.clone()
+            };
+            let t1 = Instant::now();
+            cells += key.run_parallel(1).records().len();
+            cycle_host += t1.elapsed();
+        }
+    }
+
+    let (capture_host, cycle_host) = (capture_host.as_secs_f64(), cycle_host.as_secs_f64());
+    assert_eq!(cells, 70);
+    eprintln!(
+        "host time: 20 captures {capture_host:.2}s, 70 cycle cells {cycle_host:.2}s, ratio {:.2}",
+        capture_host / cycle_host
+    );
+    assert!(
+        capture_host <= 2.0 * cycle_host,
+        "capturing the grid's profiles took {capture_host:.2}s, over 2x its {cycle_host:.2}s cycle run"
     );
 }
 

@@ -69,3 +69,33 @@ fn disk_cache_serves_the_same_predictions() {
     assert_eq!(all_points(&captured), all_points(&reloaded));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn captured_profile_bytes_are_pinned() {
+    // The serialized capture of three keys, pinned by digest: FT is the
+    // one kernel that records page runs through `stream_read`, and CG at
+    // four threads exercises the per-thread recorders in parallel
+    // regions. A change to the capture path that moves any histogram
+    // count changes these bytes, and so needs an `ENGINE_VERSION` bump
+    // (which invalidates profile disk caches) rather than a digest edit.
+    for (app, threads, want) in [
+        (AppKind::Bt, 1, 0xc6b2_de8b_b27a_9edc_u64),
+        (AppKind::Ft, 2, 0x0bba_d83e_5380_733e),
+        (AppKind::Cg, 4, 0x19ae_8449_208f_6a8d),
+    ] {
+        let json = capture_profile(app, Class::S, threads).to_json();
+        assert_eq!(
+            fnv1a64(json.as_bytes()),
+            want,
+            "{app:?} S t={threads}: capture bytes changed ({} bytes)",
+            json.len()
+        );
+    }
+}
