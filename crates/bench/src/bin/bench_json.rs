@@ -97,10 +97,7 @@ fn main() {
             let builder = SystemBuilder::new(machine.clone())
                 .policy(*policy)
                 .threads(*threads);
-            let rec =
-                BackendKind::Analytic
-                    .backend()
-                    .run(*app, class, &builder, RunOpts::default());
+            let rec = BackendKind::Analytic.run(*app, class, &builder, RunOpts::default());
             (rec, r0.elapsed().as_secs_f64())
         })
         .collect();

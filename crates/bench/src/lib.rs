@@ -56,7 +56,25 @@ pub const REPRODUCE_TARGETS: &[(&str, bool)] = &[
 ];
 
 /// Flags that consume the following argument when not written `--flag=value`.
-const VALUE_FLAGS: [&str; 4] = ["--store", "--shard", "--merge", "--jsonl"];
+const VALUE_FLAGS: [&str; 5] = ["--backend", "--store", "--shard", "--merge", "--jsonl"];
+
+/// The value of flag `name` when `args[*i]` is that flag, in either
+/// spelling: `--flag=value`, or `--flag value` (advancing `i` to the
+/// value). A space-form flag with nothing after it is a usage error.
+fn flag_value(args: &[String], i: &mut usize, name: &str) -> Option<String> {
+    let rest = args[*i].strip_prefix(name)?;
+    if let Some(v) = rest.strip_prefix('=') {
+        return Some(v.to_owned());
+    }
+    if !rest.is_empty() {
+        return None;
+    }
+    *i += 1;
+    let value = args
+        .get(*i)
+        .unwrap_or_else(|| usage_error(&format!("{name} needs a value")));
+    Some(value.clone())
+}
 
 /// The positional (non-flag) CLI arguments, with value-taking flags'
 /// space-form values excluded (so `--shard 1/4` does not leave `1/4`
@@ -96,18 +114,22 @@ pub fn class_from_args() -> Class {
     }
 }
 
-/// Parse the `--backend=cycle|analytic` flag, defaulting to cycle-exact
-/// (the golden outputs are cycle-exact; the flag is the fast path). An
-/// unknown backend is a usage error (exit status 2).
+/// Parse the `--backend cycle|analytic` flag (either `--backend=NAME` or
+/// `--backend NAME`), defaulting to cycle-exact (the golden outputs are
+/// cycle-exact; the flag is the fast path). An unknown or missing
+/// backend is a usage error (exit status 2).
 pub fn backend_from_args() -> BackendKind {
-    for arg in std::env::args().skip(1) {
-        if let Some(name) = arg.strip_prefix("--backend=") {
-            return BackendKind::parse(name).unwrap_or_else(|| {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut i = 0;
+    while i < args.len() {
+        if let Some(name) = flag_value(&args, &mut i, "--backend") {
+            return BackendKind::parse(&name).unwrap_or_else(|| {
                 usage_error(&format!(
                     "unknown backend {name:?}; expected cycle or analytic"
                 ))
             });
         }
+        i += 1;
     }
     BackendKind::CycleExact
 }
@@ -151,7 +173,7 @@ fn runtime_error(msg: &str) -> ! {
 /// Print `msg` plus the flag summary and exit with status 2.
 pub fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: [S|W|A|B] [--backend=cycle|analytic] [--store DIR] [--shard i/n | --merge n] [--jsonl FILE]");
+    eprintln!("usage: [S|W|A|B] [--backend cycle|analytic] [--store DIR] [--shard i/n | --merge n] [--jsonl FILE]");
     std::process::exit(2)
 }
 
@@ -162,22 +184,7 @@ pub fn sweep_cli_from_args() -> SweepCli {
     let mut cli = SweepCli::default();
     let mut i = 0;
     while i < args.len() {
-        let arg = args[i].clone();
-        let mut value = |name: &str| -> Option<String> {
-            let rest = arg.strip_prefix(name)?;
-            if let Some(v) = rest.strip_prefix('=') {
-                return Some(v.to_owned());
-            }
-            if rest.is_empty() {
-                i += 1;
-                return Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error(&format!("{name} needs a value")))
-                        .clone(),
-                );
-            }
-            None
-        };
+        let mut value = |name: &str| flag_value(&args, &mut i, name);
         if let Some(dir) = value("--store") {
             cli.store = Some(PathBuf::from(dir));
         } else if let Some(s) = value("--shard") {

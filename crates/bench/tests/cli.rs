@@ -18,6 +18,18 @@ fn bad_arguments_exit_2_before_running() {
         (
             "fig4",
             env!("CARGO_BIN_EXE_fig4"),
+            &["S", "--backend", "turbo"],
+            None,
+        ),
+        (
+            "fig4",
+            env!("CARGO_BIN_EXE_fig4"),
+            &["S", "--backend"],
+            None,
+        ),
+        (
+            "fig4",
+            env!("CARGO_BIN_EXE_fig4"),
             &["S", "--shard", "1/2"],
             None,
         ),

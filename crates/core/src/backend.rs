@@ -20,7 +20,7 @@
 //!
 //! let b = SystemBuilder::new(opteron_2x2()).policy(PagePolicy::Large2M).threads(4);
 //! let run = |kind: BackendKind| {
-//!     kind.backend().run(AppKind::Cg, Class::S, &b, RunOpts::default())
+//!     kind.run(AppKind::Cg, Class::S, &b, RunOpts::default())
 //! };
 //! let (exact, fast) = (run(BackendKind::CycleExact), run(BackendKind::Analytic));
 //! let err = lpomp_core::xval_seconds_err_pct(fast.seconds, exact.seconds);
@@ -66,11 +66,20 @@ impl BackendKind {
         }
     }
 
-    /// The backend implementation.
-    pub fn backend(self) -> &'static dyn Backend {
+    /// Evaluate one configuration on this engine. Both engines fill the
+    /// same record shape from the same charge tables
+    /// ([`lpomp_machine::CostModel`]); they differ in *how* the charges
+    /// are summed — simulation vs closed form.
+    pub fn run(
+        self,
+        app: AppKind,
+        class: Class,
+        builder: &SystemBuilder,
+        opts: RunOpts,
+    ) -> RunRecord {
         match self {
-            BackendKind::CycleExact => &CycleExact,
-            BackendKind::Analytic => &Analytic,
+            BackendKind::CycleExact => run_system(app, class, builder, opts),
+            BackendKind::Analytic => run_analytic(app, class, builder, opts),
         }
     }
 }
@@ -81,84 +90,50 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// An evaluation engine: turns a configured system into a [`RunRecord`].
-///
-/// Both implementations fill the same record shape from the same charge
-/// tables ([`lpomp_machine::CostModel`]); they differ in *how* the
-/// charges are summed — simulation vs closed form.
-pub trait Backend: Sync {
-    /// The backend's [`BackendKind::label`].
-    fn name(&self) -> &'static str;
-
-    /// Evaluate one configuration.
-    fn run(&self, app: AppKind, class: Class, builder: &SystemBuilder, opts: RunOpts) -> RunRecord;
-}
-
-/// The cycle-exact engine — delegates to [`run_system`].
-pub struct CycleExact;
-
-impl Backend for CycleExact {
-    fn name(&self) -> &'static str {
-        BackendKind::CycleExact.label()
+/// The analytic engine: evaluate the cached [`StreamProfile`].
+fn run_analytic(app: AppKind, class: Class, builder: &SystemBuilder, opts: RunOpts) -> RunRecord {
+    let cfg = builder.config();
+    // The capture-once premise is static scheduling: a per-thread
+    // reference stream valid on every machine. A schedule override
+    // (the hierarchical work-stealer) makes thread↔iteration binding
+    // machine-dependent, so the model would be fed streams the run
+    // never executes. Fall back to the authoritative engine — the
+    // record says so via its backend label — and xval stays exact.
+    if cfg.schedule.is_some() {
+        return run_system(app, class, builder, opts);
     }
-
-    fn run(&self, app: AppKind, class: Class, builder: &SystemBuilder, opts: RunOpts) -> RunRecord {
-        run_system(app, class, builder, opts)
-    }
-}
-
-/// The analytic engine — evaluates the cached [`StreamProfile`].
-pub struct Analytic;
-
-impl Backend for Analytic {
-    fn name(&self) -> &'static str {
-        BackendKind::Analytic.label()
-    }
-
-    fn run(&self, app: AppKind, class: Class, builder: &SystemBuilder, opts: RunOpts) -> RunRecord {
-        let cfg = builder.config();
-        // The capture-once premise is static scheduling: a per-thread
-        // reference stream valid on every machine. A schedule override
-        // (the hierarchical work-stealer) makes thread↔iteration binding
-        // machine-dependent, so the model would be fed streams the run
-        // never executes. Fall back to the authoritative engine — the
-        // record says so via its backend label — and xval stays exact.
-        if cfg.schedule.is_some() {
-            return run_system(app, class, builder, opts);
-        }
-        let profile = cached_profile(app, class, cfg.threads);
-        let point = AnalyticPoint {
-            profile: &profile,
-            config: &cfg.machine,
-            page_size: cfg.policy.heap_page_size_on(cfg.machine.arch()),
-            demand_faults: cfg.populate == PopulatePolicy::OnDemand,
-        };
-        let res = evaluate(&point);
-        // The profile's checksum is the captured run's; verifying it
-        // costs one native serial execution, like the cycle backend.
-        let verified = opts.verify.then(|| {
-            let mut kernel = app.build(class);
-            let mut alloc = BumpAllocator::unbounded();
-            kernel.setup(&mut alloc);
-            let mut team = Team::native(1);
-            let _ = kernel.run(&mut team);
-            kernel.verify(profile.checksum)
-        });
-        RunRecord {
-            app,
-            class,
-            machine: cfg.machine.name,
-            policy: cfg.policy,
-            threads: cfg.threads,
-            seconds: res.seconds,
-            cycles: res.cycles,
-            counters: res.counters,
-            checksum: profile.checksum,
-            verified,
-            regions: None,
-            trace: None,
-            backend: BackendKind::Analytic.label(),
-        }
+    let profile = cached_profile(app, class, cfg.threads);
+    let point = AnalyticPoint {
+        profile: &profile,
+        config: &cfg.machine,
+        page_size: cfg.policy.heap_page_size_on(cfg.machine.arch()),
+        demand_faults: cfg.populate == PopulatePolicy::OnDemand,
+    };
+    let res = evaluate(&point);
+    // The profile's checksum is the captured run's; verifying it
+    // costs one native serial execution, like the cycle backend.
+    let verified = opts.verify.then(|| {
+        let mut kernel = app.build(class);
+        let mut alloc = BumpAllocator::unbounded();
+        kernel.setup(&mut alloc);
+        let mut team = Team::native(1);
+        let _ = kernel.run(&mut team);
+        kernel.verify(profile.checksum)
+    });
+    RunRecord {
+        app,
+        class,
+        machine: cfg.machine.name,
+        policy: cfg.policy,
+        threads: cfg.threads,
+        seconds: res.seconds,
+        cycles: res.cycles,
+        counters: res.counters,
+        checksum: profile.checksum,
+        verified,
+        regions: None,
+        trace: None,
+        backend: BackendKind::Analytic.label(),
     }
 }
 
@@ -277,7 +252,6 @@ mod tests {
     fn kind_labels_round_trip() {
         for kind in [BackendKind::CycleExact, BackendKind::Analytic] {
             assert_eq!(BackendKind::parse(kind.label()), Some(kind));
-            assert_eq!(kind.backend().name(), kind.label());
             assert_eq!(kind.to_string(), kind.label());
         }
         assert_eq!(BackendKind::parse("exact"), Some(BackendKind::CycleExact));
@@ -309,7 +283,7 @@ mod tests {
     fn analytic_matches_cycle_shape_and_verifies() {
         let opts = RunOpts { verify: true };
         let builder = SystemBuilder::new(lpomp_machine::opteron_2x2()).threads(2);
-        let run = |kind: BackendKind| kind.backend().run(AppKind::Cg, Class::S, &builder, opts);
+        let run = |kind: BackendKind| kind.run(AppKind::Cg, Class::S, &builder, opts);
         let (exact, fast) = (run(BackendKind::CycleExact), run(BackendKind::Analytic));
         assert_eq!(exact.backend, "cycle");
         assert_eq!(fast.backend, "analytic");
@@ -338,19 +312,10 @@ mod tests {
             .policy(PagePolicy::Small4K)
             .threads(2)
             .schedule(Schedule::Hierarchical { chunk: 128 });
-        let rec = BackendKind::Analytic.backend().run(
-            AppKind::Cg,
-            Class::S,
-            &builder,
-            RunOpts::default(),
-        );
+        let rec = BackendKind::Analytic.run(AppKind::Cg, Class::S, &builder, RunOpts::default());
         assert_eq!(rec.backend, "cycle", "override must force the exact engine");
-        let exact = BackendKind::CycleExact.backend().run(
-            AppKind::Cg,
-            Class::S,
-            &builder,
-            RunOpts::default(),
-        );
+        let exact =
+            BackendKind::CycleExact.run(AppKind::Cg, Class::S, &builder, RunOpts::default());
         assert_eq!(rec, exact, "fallback is the cycle engine, verbatim");
     }
 
@@ -362,7 +327,7 @@ mod tests {
             let builder = SystemBuilder::new(lpomp_machine::opteron_2x2())
                 .policy(policy)
                 .threads(4);
-            Analytic.run(AppKind::Cg, Class::S, &builder, RunOpts::default())
+            BackendKind::Analytic.run(AppKind::Cg, Class::S, &builder, RunOpts::default())
         };
         let (small, large) = (run(PagePolicy::Small4K), run(PagePolicy::Large2M));
         assert!(large.dtlb_misses() * 2 < small.dtlb_misses());

@@ -60,8 +60,7 @@ pub mod system;
 
 pub use backend::{
     cached_profile, capture_profile, rel_err_pct, xval_dtlb_err_pct, xval_seconds_err_pct,
-    Analytic, Backend, BackendKind, CycleExact, XVAL_DTLB_BAND_PCT, XVAL_DTLB_FLOOR,
-    XVAL_SECONDS_BAND_PCT, XVAL_SECONDS_FLOOR,
+    BackendKind, XVAL_DTLB_BAND_PCT, XVAL_DTLB_FLOOR, XVAL_SECONDS_BAND_PCT, XVAL_SECONDS_FLOOR,
 };
 pub use experiment::{figure4_thread_counts, run_sim, run_system, RunOpts, RunRecord};
 pub use lpomp_prof::ProfileSpec;

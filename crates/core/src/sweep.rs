@@ -257,7 +257,7 @@ impl<'a> KeyedGrid<'a, RunRecord> {
             .collect();
         KeyedGrid::new(keys, move |i, _key| {
             let (app, builder) = &cells[i];
-            backend.backend().run(*app, class, builder, opts)
+            backend.run(*app, class, builder, opts)
         })
     }
 }

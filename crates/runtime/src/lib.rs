@@ -18,7 +18,6 @@
 
 pub mod alloc;
 pub mod barrier;
-pub mod critical;
 pub mod mailbox;
 pub mod schedule;
 pub mod shared;
@@ -27,7 +26,6 @@ pub mod tenancy;
 
 pub use alloc::{BumpAllocator, ALLOC_ALIGN};
 pub use barrier::{NativeBarrier, SenseBarrier, TreeBarrier};
-pub use critical::{Critical, OmpLock};
 pub use mailbox::{allreduce_sum, Mailbox, MailboxError, MAX_MSG_BYTES, SLOTS_PER_CHANNEL};
 pub use schedule::{plan, Plan, Schedule};
 pub use shared::{ShVec, Word, ELEM_BYTES};

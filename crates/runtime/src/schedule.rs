@@ -69,51 +69,20 @@ impl Plan {
 /// Compute the chunk plan for `range` across `threads` threads.
 pub fn plan(range: Range<usize>, threads: usize, schedule: Schedule) -> Plan {
     assert!(threads > 0, "a team needs at least one thread");
-    let n = range.len();
     match schedule {
-        Schedule::Static => {
-            // First `rem` threads get one extra iteration, like libgomp.
-            let base = n / threads;
-            let rem = n % threads;
-            let mut start = range.start;
-            let per = (0..threads)
-                .map(|t| {
-                    let len = base + usize::from(t < rem);
-                    let r = start..start + len;
-                    start += len;
-                    if r.is_empty() {
-                        vec![]
-                    } else {
-                        vec![r]
-                    }
-                })
-                .collect();
-            Plan::Fixed(per)
-        }
+        Schedule::Static => Plan::Fixed(
+            static_blocks(range, threads)
+                .map(|b| chunks_of(b.clone(), b.len()))
+                .collect(),
+        ),
         Schedule::StaticChunk(chunk) => {
-            let chunk = chunk.max(1);
             let mut per = vec![Vec::new(); threads];
-            let mut start = range.start;
-            let mut t = 0;
-            while start < range.end {
-                let end = (start + chunk).min(range.end);
-                per[t].push(start..end);
-                start = end;
-                t = (t + 1) % threads;
+            for (i, c) in chunks_of(range, chunk).into_iter().enumerate() {
+                per[i % threads].push(c);
             }
             Plan::Fixed(per)
         }
-        Schedule::Dynamic(chunk) => {
-            let chunk = chunk.max(1);
-            let mut q = Vec::with_capacity(n / chunk + 1);
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + chunk).min(range.end);
-                q.push(start..end);
-                start = end;
-            }
-            Plan::Queue(q)
-        }
+        Schedule::Dynamic(chunk) => Plan::Queue(chunks_of(range, chunk)),
         Schedule::Guided(min_chunk) => {
             let min_chunk = min_chunk.max(1);
             let mut q = Vec::new();
@@ -127,29 +96,38 @@ pub fn plan(range: Range<usize>, threads: usize, schedule: Schedule) -> Plan {
             }
             Plan::Queue(q)
         }
-        Schedule::Hierarchical { chunk } => {
-            let chunk = chunk.max(1);
-            // Same contiguous partition as Static (so first-touch homes
-            // line up with each deque's owner), then cut into chunks.
-            let base = n / threads;
-            let rem = n % threads;
-            let mut start = range.start;
-            let per = (0..threads)
-                .map(|t| {
-                    let len = base + usize::from(t < rem);
-                    let end = start + len;
-                    let mut deque = Vec::with_capacity(len / chunk + 1);
-                    while start < end {
-                        let cend = (start + chunk).min(end);
-                        deque.push(start..cend);
-                        start = cend;
-                    }
-                    deque
-                })
-                .collect();
-            Plan::Hier(per)
-        }
+        // Same contiguous partition as Static (so first-touch homes line
+        // up with each deque's owner), then cut into chunks.
+        Schedule::Hierarchical { chunk } => Plan::Hier(
+            static_blocks(range, threads)
+                .map(|b| chunks_of(b, chunk))
+                .collect(),
+        ),
     }
+}
+
+/// The contiguous near-equal per-thread blocks of [`Schedule::Static`]:
+/// the first `len % threads` threads get one extra iteration, like
+/// libgomp.
+fn static_blocks(range: Range<usize>, threads: usize) -> impl Iterator<Item = Range<usize>> {
+    let (base, rem) = (range.len() / threads, range.len() % threads);
+    let mut start = range.start;
+    (0..threads).map(move |t| {
+        let len = base + usize::from(t < rem);
+        start += len;
+        start - len..start
+    })
+}
+
+/// `range` cut into consecutive chunks of `chunk` iterations (the last
+/// may be shorter); a zero `chunk` is clamped to 1.
+fn chunks_of(range: Range<usize>, chunk: usize) -> Vec<Range<usize>> {
+    let chunk = chunk.max(1);
+    let end = range.end;
+    range
+        .step_by(chunk)
+        .map(|s| s..(s + chunk).min(end))
+        .collect()
 }
 
 #[cfg(test)]

@@ -161,6 +161,52 @@ struct HierState {
     owner: Vec<usize>,
 }
 
+/// Where one loop's threads claim their next chunk — the only part of the
+/// simulated engine loop that differs by [`Plan`] kind.
+enum Claims<'p> {
+    /// Static plans: thread `t` takes `per[t][next[t]]`.
+    Fixed {
+        per: &'p [Vec<Range<usize>>],
+        next: Vec<usize>,
+    },
+    /// Self-scheduling: any thread takes `queue[next]`.
+    Queue {
+        queue: &'p [Range<usize>],
+        next: usize,
+    },
+    /// Hierarchical work stealing over per-thread deques.
+    Hier(HierRun),
+}
+
+impl Claims<'_> {
+    /// Whether thread `t` can claim a chunk now.
+    fn can_claim(&self, t: usize) -> bool {
+        match self {
+            Claims::Fixed { per, next } => next[t] < per[t].len(),
+            Claims::Queue { queue, next } => *next < queue.len(),
+            Claims::Hier(h) => h.queued > 0,
+        }
+    }
+}
+
+/// One hierarchical loop instance in flight.
+struct HierRun {
+    /// Index of the loop shape's [`HierState`].
+    si: usize,
+    /// Chunks still waiting in some deque.
+    queued: usize,
+    /// Chunk ids per thread; owners pop the front, thieves take the tail.
+    deques: Vec<VecDeque<usize>>,
+    /// NUMA node of each thread.
+    my_node: Vec<usize>,
+    /// Threads on each node (re-homing targets).
+    threads_on: Vec<Vec<usize>>,
+    /// Steal victim preference per thief.
+    victims: Vec<Vec<usize>>,
+    /// Negotiate each completed chunk with the NUMA daemon.
+    negotiate: bool,
+}
+
 /// The simulated execution engine: machine + process + per-thread state.
 pub struct SimEngine {
     /// The hardware model.
@@ -534,79 +580,78 @@ impl SimEngine {
     }
 
     /// Run `body` over `plan` event-driven, returning per-thread partials.
+    ///
+    /// One loop serves every plan kind. Each step picks the lowest-clock
+    /// thread that has an active chunk or can claim one (ties go to the
+    /// lowest id), claims a chunk for it if it has none, runs one quantum
+    /// of at most `self.quantum` iterations, and advances its cursor.
+    /// Only the claim differs by kind (see [`Claims`]).
     fn run(&mut self, p: &Plan, body: ReduceBody<'_>, red: Reduction) -> Vec<f64> {
         self.ensure_granted();
+        let mut claims = match p {
+            Plan::Fixed(per) => Claims::Fixed {
+                per,
+                next: vec![0; self.threads],
+            },
+            Plan::Queue(queue) => Claims::Queue { queue, next: 0 },
+            Plan::Hier(per) => Claims::Hier(self.hier_run(per)),
+        };
         let mut partials = vec![red.identity(); self.threads];
-        match p {
-            Plan::Fixed(per) => {
-                // Cursor per thread: (chunk index, offset within chunk).
-                let mut cursor: Vec<(usize, usize)> = vec![(0, 0); self.threads];
-                loop {
-                    self.maybe_slice_yield();
-                    // Lowest-clock unfinished thread runs next.
-                    let mut next: Option<usize> = None;
-                    for t in 0..self.threads {
-                        let (ci, _) = cursor[t];
-                        if ci < per[t].len() && next.is_none_or(|b| self.clocks[t] < self.clocks[b])
-                        {
-                            next = Some(t);
-                        }
-                    }
-                    let Some(t) = next else { break };
-                    let (ci, off) = cursor[t];
-                    let chunk = &per[t][ci];
-                    let start = chunk.start + off;
-                    let end = (start + self.quantum).min(chunk.end);
-                    let v = self.exec_quantum(t, start..end, body);
-                    partials[t] = red.combine(partials[t], v);
-                    if end == chunk.end {
-                        cursor[t] = (ci + 1, 0);
-                    } else {
-                        cursor[t] = (ci, off + (end - start));
-                    }
+        // (chunk id, chunk, offset within chunk) being executed per thread.
+        let mut active: Vec<Option<(usize, Range<usize>, usize)>> = vec![None; self.threads];
+        loop {
+            self.maybe_slice_yield();
+            let mut next: Option<usize> = None;
+            for (t, a) in active.iter().enumerate() {
+                let has_work = a.is_some() || claims.can_claim(t);
+                if has_work && next.is_none_or(|b| self.clocks[t] < self.clocks[b]) {
+                    next = Some(t);
                 }
             }
-            Plan::Queue(q) => {
-                // Dynamic self-scheduling: the thread with the lowest clock
-                // claims the next chunk — the deterministic analogue of a
-                // shared iteration counter.
-                let mut qi = 0usize;
-                let mut current: Vec<Option<(Range<usize>, usize)>> = vec![None; self.threads];
-                loop {
-                    self.maybe_slice_yield();
-                    let mut next: Option<usize> = None;
-                    #[allow(clippy::needless_range_loop)] // t indexes three arrays
-                    for t in 0..self.threads {
-                        let has_work = current[t].is_some() || qi < q.len();
-                        if has_work && next.is_none_or(|b| self.clocks[t] < self.clocks[b]) {
-                            next = Some(t);
-                        }
-                    }
-                    let Some(t) = next else { break };
-                    if current[t].is_none() {
-                        if qi >= q.len() {
-                            // Another thread should claim instead; mark this
-                            // thread idle by skipping (it had no work).
-                            break;
-                        }
-                        current[t] = Some((q[qi].clone(), 0));
-                        qi += 1;
-                    }
-                    let (chunk, off) = current[t].clone().unwrap();
-                    let start = chunk.start + off;
-                    let end = (start + self.quantum).min(chunk.end);
-                    let v = self.exec_quantum(t, start..end, body);
-                    partials[t] = red.combine(partials[t], v);
-                    if end == chunk.end {
-                        current[t] = None;
-                    } else {
-                        current[t] = Some((chunk, off + (end - start)));
-                    }
+            let Some(t) = next else { break };
+            let (c, chunk, off) = match active[t].take() {
+                Some(a) => a,
+                None => {
+                    let (c, chunk) = self.claim(&mut claims, t);
+                    (c, chunk, 0)
+                }
+            };
+            let start = chunk.start + off;
+            let end = (start + self.quantum).min(chunk.end);
+            let v = self.with_ctx(t, |ctx| body(ctx, start..end));
+            partials[t] = red.combine(partials[t], v);
+            if end < chunk.end {
+                active[t] = Some((c, chunk, off + (end - start)));
+            } else if let Claims::Hier(h) = &claims {
+                if h.negotiate {
+                    self.negotiate_chunk(h.si, c, t, &h.threads_on);
                 }
             }
-            Plan::Hier(per) => self.run_hier(per, body, red, &mut partials),
         }
         partials
+    }
+
+    /// Claim thread `t`'s next chunk, returning its id and iterations.
+    /// Static plans take the thread's own next chunk and the shared queue
+    /// hands out its front, both free of charge; hierarchical plans pop
+    /// or steal (see [`Self::claim_hier`]).
+    fn claim(&mut self, claims: &mut Claims<'_>, t: usize) -> (usize, Range<usize>) {
+        match claims {
+            Claims::Fixed { per, next } => {
+                let c = next[t];
+                next[t] += 1;
+                (c, per[t][c].clone())
+            }
+            Claims::Queue { queue, next } => {
+                let c = *next;
+                *next += 1;
+                (c, queue[c].clone())
+            }
+            Claims::Hier(h) => {
+                let c = self.claim_hier(h, t);
+                (c, self.hier[h.si].chunks[c].clone())
+            }
+        }
     }
 
     /// Charge one thread's clock (scheduler bookkeeping ops).
@@ -615,19 +660,11 @@ impl SimEngine {
         self.profile.thread_mut(t).add(Event::Cycles, cycles);
     }
 
-    /// The hierarchical work-stealing loop: per-thread deques seeded from
-    /// the static partition (or the persistent re-homed assignment when
-    /// this loop shape ran before), locality-preferring stealing, and the
-    /// two-way negotiation with the NUMA daemon. Deterministic: the
-    /// lowest-clock thread always acts next, and steal victim order is a
-    /// pure function of the topology.
-    fn run_hier(
-        &mut self,
-        per: &[Vec<Range<usize>>],
-        body: ReduceBody<'_>,
-        red: Reduction,
-        partials: &mut [f64],
-    ) {
+    /// Set up one hierarchical loop: per-thread deques seeded from the
+    /// static partition (or the persistent re-homed assignment when this
+    /// loop shape ran before) and each thief's steal victim order, a pure
+    /// function of the topology.
+    fn hier_run(&mut self, per: &[Vec<Range<usize>>]) -> HierRun {
         let pol = self.steal;
         let negotiate = pol.work_follows_pages || pol.pages_follow_work;
         if negotiate {
@@ -675,7 +712,7 @@ impl SimEngine {
                 }
                 let affinity: Vec<usize> = owner.iter().map(|&t| my_node[t]).collect();
                 self.hier.push(HierState {
-                    chunks: chunks.clone(),
+                    chunks,
                     affinity,
                     owner,
                 });
@@ -686,74 +723,56 @@ impl SimEngine {
         for (c, &o) in self.hier[si].owner.iter().enumerate() {
             deques[o].push_back(c);
         }
-        let cm = *self.machine.cost();
-        // (chunk index, offset within chunk) being executed per thread.
-        let mut active: Vec<Option<(usize, usize)>> = vec![None; threads];
-        loop {
-            self.maybe_slice_yield();
-            let queued = deques.iter().any(|d| !d.is_empty());
-            let mut next: Option<usize> = None;
-            #[allow(clippy::needless_range_loop)] // t indexes several arrays
-            for t in 0..threads {
-                let has_work = active[t].is_some() || queued;
-                if has_work && next.is_none_or(|b| self.clocks[t] < self.clocks[b]) {
-                    next = Some(t);
-                }
-            }
-            let Some(t) = next else { break };
-            if active[t].is_none() {
-                let c = if let Some(c) = deques[t].pop_front() {
-                    self.charge_one(t, cm.queue_op);
-                    c
-                } else {
-                    // Own deque dry: steal. `queued` guarantees a victim.
-                    let v = victims[t]
-                        .iter()
-                        .copied()
-                        .find(|&u| !deques[u].is_empty())
-                        .expect("queued work must have a victim");
-                    self.prof_enter("rt:steal");
-                    if my_node[v] != my_node[t] {
-                        // Remote: take a batch off the victim's tail,
-                        // preserving chunk order.
-                        let k = pol.remote_batch.max(1).min(deques[v].len());
-                        let mut tail = Vec::with_capacity(k);
-                        for _ in 0..k {
-                            tail.push(deques[v].pop_back().expect("victim emptied"));
-                        }
-                        tail.reverse();
-                        deques[t].extend(tail);
-                        self.charge_one(t, cm.steal_remote);
-                        self.profile.thread_mut(t).bump(Event::RemoteSteals);
-                    } else {
-                        let c = deques[v].pop_back().expect("victim emptied");
-                        deques[t].push_back(c);
-                        self.charge_one(t, cm.steal_local);
-                        self.profile.thread_mut(t).bump(Event::LocalSteals);
-                    }
-                    self.prof_exit();
-                    deques[t].pop_front().expect("thief's deque stocked")
-                };
-                if my_node[t] == self.hier[si].affinity[c] {
-                    self.profile.thread_mut(t).bump(Event::AffinityHits);
-                }
-                active[t] = Some((c, 0));
-            }
-            let (c, off) = active[t].expect("selected thread has a chunk");
-            let chunk = self.hier[si].chunks[c].clone();
-            let start = chunk.start + off;
-            let end = (start + self.quantum).min(chunk.end);
-            let v = self.exec_quantum(t, start..end, body);
-            partials[t] = red.combine(partials[t], v);
-            if end == chunk.end {
-                active[t] = None;
-                if negotiate {
-                    self.negotiate_chunk(si, c, t, &threads_on);
-                }
-            } else {
-                active[t] = Some((c, off + (end - start)));
-            }
+        HierRun {
+            si,
+            queued: self.hier[si].chunks.len(),
+            deques,
+            my_node,
+            threads_on,
+            victims,
+            negotiate,
         }
+    }
+
+    /// Hierarchical claim: pop the thread's own deque (one `queue_op`),
+    /// or, when it is dry, steal — one chunk off a same-node victim's
+    /// tail, or a batch off a remote victim's — inside `rt:steal`.
+    fn claim_hier(&mut self, h: &mut HierRun, t: usize) -> usize {
+        let cm = *self.machine.cost();
+        let c = if let Some(c) = h.deques[t].pop_front() {
+            self.charge_one(t, cm.queue_op);
+            c
+        } else {
+            // Own deque dry: steal. `queued` guarantees a victim.
+            let v = h.victims[t]
+                .iter()
+                .copied()
+                .find(|&u| !h.deques[u].is_empty())
+                .expect("queued work must have a victim");
+            self.prof_enter("rt:steal");
+            if h.my_node[v] != h.my_node[t] {
+                // Remote: take a batch off the victim's tail, preserving
+                // chunk order.
+                let k = self.steal.remote_batch.max(1).min(h.deques[v].len());
+                let at = h.deques[v].len() - k;
+                let tail = h.deques[v].split_off(at);
+                h.deques[t].extend(tail);
+                self.charge_one(t, cm.steal_remote);
+                self.profile.thread_mut(t).bump(Event::RemoteSteals);
+            } else {
+                let c = h.deques[v].pop_back().expect("victim emptied");
+                h.deques[t].push_back(c);
+                self.charge_one(t, cm.steal_local);
+                self.profile.thread_mut(t).bump(Event::LocalSteals);
+            }
+            self.prof_exit();
+            h.deques[t].pop_front().expect("thief's deque stocked")
+        };
+        h.queued -= 1;
+        if h.my_node[t] == self.hier[h.si].affinity[c] {
+            self.profile.thread_mut(t).bump(Event::AffinityHits);
+        }
+        c
     }
 
     /// Chunk-completion negotiation. Drains the machine's hint samples;
@@ -811,27 +830,21 @@ impl SimEngine {
         }
     }
 
-    /// Execute one quantum on logical thread `t`.
-    fn exec_quantum(&mut self, t: usize, r: Range<usize>, body: ReduceBody<'_>) -> f64 {
-        let core = self.placement[t];
+    /// Run `f` on logical thread `t`'s memory context, wrapped for
+    /// capture when the reference stream is being recorded.
+    fn with_ctx<R>(&mut self, t: usize, f: impl FnOnce(&mut dyn MemoryCtx) -> R) -> R {
         let ctx = SimCtx::new(
             &mut self.machine,
             &mut self.aspace,
             self.profile.thread_mut(t),
             &mut self.clocks[t],
             &mut self.walkers[t],
-            core,
+            self.placement[t],
             t,
         );
         match &mut self.capture {
-            Some(cap) => {
-                let mut ctx = cap.ctx(ctx, t);
-                body(&mut ctx, r)
-            }
-            None => {
-                let mut ctx = ctx;
-                body(&mut ctx, r)
-            }
+            Some(cap) => f(&mut cap.ctx(ctx, t)),
+            None => f(&mut { ctx }),
         }
     }
 
@@ -963,26 +976,7 @@ impl SimEngine {
     /// Run a master-only (OpenMP `single`) section on thread 0, then join.
     fn single(&mut self, body: &mut dyn FnMut(&mut dyn MemoryCtx)) {
         self.ensure_granted();
-        let core = self.placement[0];
-        let ctx = SimCtx::new(
-            &mut self.machine,
-            &mut self.aspace,
-            self.profile.thread_mut(0),
-            &mut self.clocks[0],
-            &mut self.walkers[0],
-            core,
-            0,
-        );
-        match &mut self.capture {
-            Some(cap) => {
-                let mut ctx = cap.ctx(ctx, 0);
-                body(&mut ctx);
-            }
-            None => {
-                let mut ctx = ctx;
-                body(&mut ctx);
-            }
-        }
+        self.with_ctx(0, body);
         self.barrier_sync();
     }
 }
@@ -1097,84 +1091,56 @@ impl Team {
     ) -> f64 {
         let threads = self.threads();
         let p = plan(range, threads, schedule);
-        match self {
+        let partials = match self {
             Team::Sim(e) => {
                 let partials = e.run(&p, body, red);
                 e.barrier_sync();
                 partials
-                    .into_iter()
-                    .fold(red.identity(), |a, b| red.combine(a, b))
             }
-            Team::Native { threads } => {
-                let threads = *threads;
-                // The native engine has no simulated clock to order steals
-                // by, so hierarchical plans degrade to true self-scheduling
-                // over the same chunks (correctness-identical).
-                let p = match p {
-                    Plan::Hier(per) => Plan::Queue(per.into_iter().flatten().collect()),
-                    other => other,
+            Team::Native { .. } => {
+                // Each worker drains its own chunk list, then claims from a
+                // shared atomic-indexed list: static plans fill only the
+                // own lists, self-scheduled ones only the shared list. The
+                // native engine has no simulated clock to order steals
+                // by, so hierarchical plans degrade to true
+                // self-scheduling over the same chunks
+                // (correctness-identical).
+                let (own, shared) = match p {
+                    Plan::Fixed(per) => (per, Vec::new()),
+                    Plan::Queue(q) => (vec![Vec::new(); threads], q),
+                    Plan::Hier(per) => (vec![Vec::new(); threads], per.concat()),
                 };
-                match p {
-                    Plan::Fixed(per) => {
-                        let partials: Vec<f64> = std::thread::scope(|s| {
-                            let handles: Vec<_> = per
-                                .into_iter()
-                                .enumerate()
-                                .map(|(t, chunks)| {
-                                    s.spawn(move || {
-                                        let mut ctx = NullCtx::new(t);
-                                        let mut acc = red.identity();
-                                        for c in chunks {
-                                            acc = red.combine(acc, body(&mut ctx, c));
-                                        }
-                                        acc
+                let next = AtomicUsize::new(0);
+                let (shared, next) = (&shared, &next);
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = own
+                        .into_iter()
+                        .enumerate()
+                        .map(|(t, chunks)| {
+                            s.spawn(move || {
+                                let mut ctx = NullCtx::new(t);
+                                let claimed = std::iter::from_fn(|| {
+                                    shared.get(next.fetch_add(1, Ordering::Relaxed)).cloned()
+                                });
+                                chunks
+                                    .into_iter()
+                                    .chain(claimed)
+                                    .fold(red.identity(), |acc, c| {
+                                        red.combine(acc, body(&mut ctx, c))
                                     })
-                                })
-                                .collect();
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().expect("worker panicked"))
-                                .collect()
-                        });
-                        partials
-                            .into_iter()
-                            .fold(red.identity(), |a, b| red.combine(a, b))
-                    }
-                    Plan::Queue(q) => {
-                        // True self-scheduling with a shared chunk counter.
-                        let next = AtomicUsize::new(0);
-                        let q = &q;
-                        let next_ref = &next;
-                        let partials: Vec<f64> = std::thread::scope(|s| {
-                            let handles: Vec<_> = (0..threads)
-                                .map(|t| {
-                                    s.spawn(move || {
-                                        let mut ctx = NullCtx::new(t);
-                                        let mut acc = red.identity();
-                                        loop {
-                                            let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                                            if i >= q.len() {
-                                                break;
-                                            }
-                                            acc = red.combine(acc, body(&mut ctx, q[i].clone()));
-                                        }
-                                        acc
-                                    })
-                                })
-                                .collect();
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().expect("worker panicked"))
-                                .collect()
-                        });
-                        partials
-                            .into_iter()
-                            .fold(red.identity(), |a, b| red.combine(a, b))
-                    }
-                    Plan::Hier(_) => unreachable!("flattened above"),
-                }
+                            })
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("worker panicked"))
+                        .collect()
+                })
             }
-        }
+        };
+        partials
+            .into_iter()
+            .fold(red.identity(), |a, b| red.combine(a, b))
     }
 
     /// `#pragma omp parallel sections`: each section runs exactly once,
