@@ -12,6 +12,8 @@
 //! aliasing can arise) and physical for page-walk references, which carry
 //! a tag bit to keep the two keyspaces disjoint.
 
+use lpomp_tlb::set::{Access, SetArray};
+
 /// Cache line size in bytes on both evaluation platforms.
 pub const LINE_BYTES: u64 = 64;
 /// log2 of [`LINE_BYTES`].
@@ -58,14 +60,12 @@ impl CacheStats {
     }
 }
 
-/// A set-associative cache with true LRU (MRU-first vectors per set).
+/// A set-associative cache with true LRU, over the TLB's [`SetArray`].
 #[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
-    set_mask: u64,
-    ways: usize,
-    /// Per-set line addresses, MRU first.
-    sets: Vec<Vec<u64>>,
+    /// Resident line addresses, MRU first per set.
+    lines: SetArray,
     stats: CacheStats,
 }
 
@@ -79,9 +79,7 @@ impl Cache {
             config.name
         );
         Cache {
-            set_mask: (nsets - 1) as u64,
-            ways: config.ways as usize,
-            sets: vec![Vec::with_capacity(config.ways as usize); nsets],
+            lines: SetArray::new(nsets, config.ways),
             config,
             stats: CacheStats::default(),
         }
@@ -97,52 +95,37 @@ impl Cache {
         self.stats
     }
 
-    #[inline]
-    fn set_index(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
-    }
-
     /// Access the line containing `addr`, filling on miss. Returns `true`
     /// on hit.
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> LINE_SHIFT;
-        let si = self.set_index(line);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            if pos != 0 {
-                let l = set.remove(pos);
-                set.insert(0, l);
+        match self.lines.access(line) {
+            Access::Hit(_) => {
+                self.stats.hits += 1;
+                true
             }
-            self.stats.hits += 1;
-            true
-        } else {
-            self.stats.misses += 1;
-            if set.len() == self.ways {
-                set.pop();
-                self.stats.evictions += 1;
+            Access::Miss(evicted) => {
+                self.stats.misses += 1;
+                self.stats.evictions += u64::from(evicted.is_some());
+                false
             }
-            set.insert(0, line);
-            false
         }
     }
 
     /// Probe without updating LRU or counters.
     pub fn probe(&self, addr: u64) -> bool {
-        let line = addr >> LINE_SHIFT;
-        self.sets[self.set_index(line)].contains(&line)
+        self.lines.find(addr >> LINE_SHIFT).is_some()
     }
 
     /// Invalidate the whole cache.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.lines.clear();
     }
 
     /// Lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.lines.occupancy()
     }
 }
 

@@ -8,7 +8,8 @@ use crate::sched::AsidMode;
 use lpomp_prof::{Counters, Event};
 use lpomp_tlb::{Tlb, TlbOutcome, TlbStats, ASID_SHIFT};
 use lpomp_vm::{
-    AccessKind, AddressSpace, BuddyAllocator, HintSamples, PageSize, PhysAddr, VirtAddr, VmResult,
+    AccessKind, AccessOutcome, AddressSpace, BuddyAllocator, HintSamples, PageSize, PhysAddr,
+    VirtAddr, VmResult,
 };
 
 /// Tag bit added to physical page-walk addresses before they enter the
@@ -373,6 +374,42 @@ impl Machine {
         }
     }
 
+    /// Charge the page walk (and fault, if one was taken) behind a TLB
+    /// miss, counting it as [`Event::WalkCycles`]; returns its cycles.
+    fn charge_walk(
+        &mut self,
+        core: usize,
+        outcome: &AccessOutcome,
+        counters: &mut Counters,
+    ) -> u64 {
+        let mut walk_cycles = self.cfg.cost.walk_base;
+        // Page-walk caches keep the upper levels of the radix tree
+        // resident; only the leaf PTE reference goes through the cache
+        // hierarchy. Without a PWC every level pays.
+        if self.cfg.page_walk_cache {
+            if let Some(leaf) = outcome.trace().steps().last() {
+                walk_cycles += self.walk_ref(core, leaf.0, counters);
+            }
+        } else {
+            for step in outcome.trace().steps() {
+                walk_cycles += self.walk_ref(core, step.0, counters);
+            }
+        }
+        if outcome.faulted() {
+            counters.bump(Event::PageFaults);
+            walk_cycles += self.cfg.cost.page_fault;
+            if let Some(numa) = &self.cfg.numa {
+                // Replicated page tables: the fault's PTE install is
+                // broadcast to every other node's replica.
+                if numa.replicate_pt {
+                    walk_cycles += (numa.nodes as u64 - 1) * self.cfg.cost.pt_edit;
+                }
+            }
+        }
+        counters.add(Event::WalkCycles, walk_cycles);
+        walk_cycles
+    }
+
     /// The SMT flush rule: a long-latency stall on a core running more
     /// than one thread flushes the pipeline (Xeon only).
     #[inline]
@@ -505,32 +542,7 @@ impl Machine {
                 // page on the faulting core's node.
                 let touch = self.cfg.numa.as_ref().map(|_| self.cfg.node_of_core(core));
                 let outcome = aspace.access_from(&mut self.frames, va, kind.as_vm(), touch)?;
-                let mut walk_cycles = self.cfg.cost.walk_base;
-                // Page-walk caches keep the upper levels of the radix
-                // tree resident; only the leaf PTE reference goes through
-                // the cache hierarchy. Without a PWC every level pays.
-                if self.cfg.page_walk_cache {
-                    if let Some(leaf) = outcome.trace().steps().last() {
-                        walk_cycles += self.walk_ref(core, leaf.0, counters);
-                    }
-                } else {
-                    for step in outcome.trace().steps() {
-                        walk_cycles += self.walk_ref(core, step.0, counters);
-                    }
-                }
-                if outcome.faulted() {
-                    counters.bump(Event::PageFaults);
-                    walk_cycles += self.cfg.cost.page_fault;
-                    if let Some(numa) = &self.cfg.numa {
-                        // Replicated page tables: the fault's PTE install
-                        // is broadcast to every other node's replica.
-                        if numa.replicate_pt {
-                            walk_cycles += (numa.nodes as u64 - 1) * self.cfg.cost.pt_edit;
-                        }
-                    }
-                }
-                counters.add(Event::WalkCycles, walk_cycles);
-                cycles += walk_cycles;
+                cycles += self.charge_walk(core, &outcome, counters);
                 if mode == AccessMode::Stream
                     && va.page_offset(outcome.translation().size) < 2 * crate::cache::LINE_BYTES
                 {
@@ -695,26 +707,7 @@ impl Machine {
                 counters.bump(Event::ItlbMisses);
                 let touch = self.cfg.numa.as_ref().map(|_| self.cfg.node_of_core(core));
                 let outcome = aspace.access_from(&mut self.frames, va, AccessKind::Fetch, touch)?;
-                let mut walk_cycles = self.cfg.cost.walk_base;
-                if self.cfg.page_walk_cache {
-                    if let Some(leaf) = outcome.trace().steps().last() {
-                        walk_cycles += self.walk_ref(core, leaf.0, counters);
-                    }
-                } else {
-                    for step in outcome.trace().steps() {
-                        walk_cycles += self.walk_ref(core, step.0, counters);
-                    }
-                }
-                if outcome.faulted() {
-                    counters.bump(Event::PageFaults);
-                    walk_cycles += self.cfg.cost.page_fault;
-                    if let Some(numa) = &self.cfg.numa {
-                        if numa.replicate_pt {
-                            walk_cycles += (numa.nodes as u64 - 1) * self.cfg.cost.pt_edit;
-                        }
-                    }
-                }
-                counters.add(Event::WalkCycles, walk_cycles);
+                let walk_cycles = self.charge_walk(core, &outcome, counters);
                 let size = outcome.translation().size;
                 self.itlbs[core].fill(va, size);
                 (walk_cycles, size)

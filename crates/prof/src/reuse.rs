@@ -592,6 +592,9 @@ impl DenseHist {
 /// distances span phase boundaries, so caches stay warm across phases)
 /// plus the dense accumulators of the phase in progress.
 pub struct ThreadRecorder {
+    /// Address of the previous data access, for the last-key cascade in
+    /// [`ThreadRecorder::data`]; `None` before the first.
+    prev_va: Option<u64>,
     line: ReuseTracker,
     /// One page tracker per [`PAGE_SHIFTS`] entry (same order).
     pages: Vec<ReuseTracker>,
@@ -624,6 +627,7 @@ impl ThreadRecorder {
     pub fn new() -> Self {
         let h3 = || [DenseHist::new(), DenseHist::new(), DenseHist::new()];
         ThreadRecorder {
+            prev_va: None,
             line: ReuseTracker::new(),
             pages: PAGE_SHIFTS.iter().map(|_| ReuseTracker::new()).collect(),
             code: CODE_SHIFTS.iter().map(|_| ReuseTracker::new()).collect(),
@@ -661,19 +665,40 @@ impl ThreadRecorder {
         } else {
             self.loads += 1;
         }
-        let d = self.line.access(va >> 6);
+        // Last-key cascade: at shift `s` this access repeats the previous
+        // one's key exactly when `(va ^ prev) >> s == 0`. A repeated key is
+        // its tracker's MRU key, so its distance is `Some(0)` and the
+        // tracker call would change nothing: record the distance, skip
+        // the call.
+        let diff = self.prev_va.map_or(u64::MAX, |p| va ^ p);
+        self.prev_va = Some(va);
+        let repeats = |shift: u32| diff >> shift == 0;
+        let d = if repeats(6) {
+            Some(0)
+        } else {
+            self.line.access(va >> 6)
+        };
         self.line_h[mode].add(d);
         for (i, &shift) in PAGE_SHIFTS.iter().enumerate() {
-            let d = self.pages[i].access(va >> shift);
+            let shift = u32::from(shift);
+            let d = if repeats(shift) {
+                Some(0)
+            } else {
+                self.pages[i].access(va >> shift)
+            };
             self.page_h[i][mode].add(d);
         }
         for (i, shape) in CONFLICT_SHAPES.iter().enumerate() {
-            let key = if shape.granularity == GRAN_LINE {
-                va >> 6
+            let shift = if shape.granularity == GRAN_LINE {
+                6
             } else {
-                va >> 12
+                12
             };
-            let d = self.shapes[i].access(key);
+            let d = if repeats(shift) {
+                Some(0)
+            } else {
+                self.shapes[i].access(va >> shift)
+            };
             self.conflict_h[i][mode].add(d);
         }
         if mode == MODE_STREAM {
@@ -1579,5 +1604,91 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s), "every tracked depth reused");
         assert!(truncated > 0, "some reuses fell below the tracked depth");
+    }
+
+    #[test]
+    fn immediate_repeat_is_distance_zero_and_changes_nothing() {
+        // The invariant the recorder's last-key cascade rests on: repeating
+        // the previous key reports `Some(0)` and leaves the tracker as it
+        // was, so skipping the call cannot change any later distance.
+        let keys = lcg_keys(400, 50, 0xcafe);
+        let shape = CONFLICT_SHAPES[0];
+        let (mut plain, mut twice) = (ReuseTracker::new(), ReuseTracker::new());
+        let (mut plain_set, mut twice_set) = (SetTracker::new(&shape), SetTracker::new(&shape));
+        for (i, &k) in keys.iter().enumerate() {
+            let want = plain.access(k);
+            assert_eq!(twice.access(k), want, "access {i}");
+            assert_eq!(twice.access(k), Some(0), "repeat of access {i}");
+            let want = plain_set.access(k);
+            assert_eq!(twice_set.access(k), want, "set access {i}");
+            assert_eq!(twice_set.access(k), Some(0), "set repeat of access {i}");
+        }
+    }
+
+    #[test]
+    fn recorder_cascade_matches_per_access_tracker_calls() {
+        // Runs of same-line, same-page and same-2 MB addresses between
+        // random jumps, so the cascade stops at every shift.
+        let mut state = 0x9e37_79b9u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut stream = Vec::new();
+        let mut va = 1u64 << 40;
+        for _ in 0..600 {
+            let span = [8, 1 << 6, 1 << 12, 1 << 14, 1 << 21, 1 << 31][(next() % 6) as usize];
+            let base = va & !(span - 1);
+            for _ in 0..1 + next() % 6 {
+                va = base + next() % span;
+                stream.push((va, (next() % MODES as u64) as usize));
+            }
+        }
+        let mut rec = ThreadRecorder::new();
+        let mut line = ReuseTracker::new();
+        let mut pages: Vec<ReuseTracker> =
+            PAGE_SHIFTS.iter().map(|_| ReuseTracker::new()).collect();
+        let mut shapes: Vec<SetTracker> = CONFLICT_SHAPES.iter().map(SetTracker::new).collect();
+        let h3 = || [DenseHist::new(), DenseHist::new(), DenseHist::new()];
+        let c3 = || {
+            [
+                DenseConflict::new(),
+                DenseConflict::new(),
+                DenseConflict::new(),
+            ]
+        };
+        let mut line_h = h3();
+        let mut page_h: Vec<_> = PAGE_SHIFTS.iter().map(|_| h3()).collect();
+        let mut conflict_h: Vec<_> = CONFLICT_SHAPES.iter().map(|_| c3()).collect();
+        // Two phases: the cascade's previous address carries across a drain.
+        for phase in stream.chunks(stream.len() / 2 + 1) {
+            for &(va, mode) in phase {
+                rec.data(va, false, mode);
+                line_h[mode].add(line.access(va >> 6));
+                for (i, &shift) in PAGE_SHIFTS.iter().enumerate() {
+                    page_h[i][mode].add(pages[i].access(va >> shift));
+                }
+                for (i, shape) in CONFLICT_SHAPES.iter().enumerate() {
+                    let shift = if shape.granularity == GRAN_LINE {
+                        6
+                    } else {
+                        12
+                    };
+                    conflict_h[i][mode].add(shapes[i].access(va >> shift));
+                }
+            }
+            let got = rec.drain();
+            for m in 0..MODES {
+                assert_eq!(got.line[m], line_h[m].drain(), "line, mode {m}");
+                for (i, hs) in page_h.iter_mut().enumerate() {
+                    assert_eq!(got.pages[i][m], hs[m].drain(), "shift {i}, mode {m}");
+                }
+                for (i, hs) in conflict_h.iter_mut().enumerate() {
+                    assert_eq!(got.conflict[i][m], hs[m].drain(), "shape {i}, mode {m}");
+                }
+            }
+        }
     }
 }

@@ -7,10 +7,12 @@
 //! Xeon, 8 vs 32 on the Opteron L1, and *zero* 2 MB entries in the Opteron
 //! L2). [`TlbArray`] models one such array.
 //!
-//! Fully associative arrays use a move-to-front vector, which makes a hit
-//! under high temporal locality O(1)–O(small) and is exactly true LRU.
+//! Entries live in a [`SetArray`]: a fully associative array is one set
+//! of `capacity` ways, kept MRU first, which makes a hit under high
+//! temporal locality O(1)–O(small) and is exactly true LRU.
 //! Set-associative arrays index by the low VPN bits and keep LRU per set.
 
+use crate::set::{Access, SetArray};
 use lpomp_vm::PageSize;
 
 /// Associativity of a TLB array.
@@ -57,10 +59,8 @@ impl ArrayStats {
 pub struct TlbArray {
     page_size: PageSize,
     capacity: u16,
-    ways: u16,
-    set_mask: u64,
-    /// `sets[s]` holds up to `ways` VPNs, MRU first (true LRU order).
-    sets: Vec<Vec<u64>>,
+    /// Resident VPNs, true LRU per set.
+    set: SetArray,
     stats: ArrayStats,
 }
 
@@ -86,16 +86,10 @@ impl TlbArray {
         } else {
             (capacity / ways).max(1) as usize
         };
-        assert!(
-            nsets == 0 || nsets.is_power_of_two(),
-            "set count {nsets} must be a power of two for masking"
-        );
         TlbArray {
             page_size,
             capacity,
-            ways,
-            set_mask: nsets.saturating_sub(1) as u64,
-            sets: vec![Vec::with_capacity(ways as usize); nsets],
+            set: SetArray::new(nsets, ways),
             stats: ArrayStats::default(),
         }
     }
@@ -122,43 +116,48 @@ impl TlbArray {
 
     /// Current number of live entries across all sets.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
-
-    #[inline]
-    fn set_index(&self, vpn: u64) -> usize {
-        (vpn & self.set_mask) as usize
+        self.set.occupancy()
     }
 
     /// Look up a VPN, updating LRU order and counters.
     #[inline]
     pub fn lookup(&mut self, vpn: u64) -> bool {
-        if self.capacity == 0 {
-            self.stats.misses += 1;
-            return false;
-        }
-        let si = self.set_index(vpn);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|&e| e == vpn) {
-            // Move to front: position 0 is MRU.
-            if pos != 0 {
-                let e = set.remove(pos);
-                set.insert(0, e);
+        match self.set.find(vpn) {
+            Some(pos) => {
+                self.hit_at(vpn, pos);
+                true
             }
-            self.stats.hits += 1;
-            true
-        } else {
-            self.stats.misses += 1;
-            false
+            None => {
+                self.record_miss();
+                false
+            }
         }
+    }
+
+    /// Stack position of a VPN in its set, without disturbing LRU order
+    /// or counters: the probe half of [`lookup`](TlbArray::lookup).
+    #[inline]
+    pub(crate) fn find(&self, vpn: u64) -> Option<usize> {
+        self.set.find(vpn)
+    }
+
+    /// The hit half of [`lookup`](TlbArray::lookup), for a `pos` just
+    /// returned by [`find`](TlbArray::find).
+    #[inline]
+    pub(crate) fn hit_at(&mut self, vpn: u64, pos: usize) {
+        self.set.promote(vpn, pos);
+        self.stats.hits += 1;
+    }
+
+    /// The miss half of [`lookup`](TlbArray::lookup).
+    #[inline]
+    pub(crate) fn record_miss(&mut self) {
+        self.stats.misses += 1;
     }
 
     /// Probe without disturbing LRU order or counters.
     pub fn probe(&self, vpn: u64) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        self.sets[self.set_index(vpn)].contains(&vpn)
+        self.set.find(vpn).is_some()
     }
 
     /// True when `vpn` is the most-recently-used entry of its set — i.e.
@@ -169,10 +168,7 @@ impl TlbArray {
     /// [`lookup`]: TlbArray::lookup
     /// [`record_hit_bypass`]: TlbArray::record_hit_bypass
     pub fn is_mru(&self, vpn: u64) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        self.sets[self.set_index(vpn)].first() == Some(&vpn)
+        self.set.is_mru(vpn)
     }
 
     /// Record a hit without searching or reordering the set.
@@ -191,52 +187,37 @@ impl TlbArray {
     /// Install a VPN (after a miss + walk), evicting the set's LRU entry if
     /// full. Returns the evicted VPN, if any.
     pub fn fill(&mut self, vpn: u64) -> Option<u64> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let ways = self.ways as usize;
-        let si = self.set_index(vpn);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|&e| e == vpn) {
+        match self.set.access(vpn) {
             // Already present (e.g. filled by the other SMT context between
             // our miss and our fill): refresh LRU only.
-            if pos != 0 {
-                let e = set.remove(pos);
-                set.insert(0, e);
-            }
-            return None;
+            Access::Hit(_) => None,
+            Access::Miss(evicted) => self.count_eviction(evicted),
         }
-        let evicted = if set.len() == ways {
-            self.stats.evictions += 1;
-            set.pop()
-        } else {
-            None
-        };
-        set.insert(0, vpn);
+    }
+
+    /// [`fill`](TlbArray::fill) of a VPN known not to be resident (a
+    /// lookup of it just missed), skipping the presence scan.
+    #[inline]
+    pub(crate) fn insert(&mut self, vpn: u64) -> Option<u64> {
+        let evicted = self.set.insert(vpn);
+        self.count_eviction(evicted)
+    }
+
+    #[inline]
+    fn count_eviction(&mut self, evicted: Option<u64>) -> Option<u64> {
+        self.stats.evictions += u64::from(evicted.is_some());
         evicted
     }
 
     /// Invalidate every entry.
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.set.clear();
         self.stats.flushes += 1;
     }
 
     /// Invalidate one page if present (e.g. on munmap).
     pub fn invalidate(&mut self, vpn: u64) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        let si = self.set_index(vpn);
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|&e| e == vpn) {
-            set.remove(pos);
-            true
-        } else {
-            false
-        }
+        self.set.remove(vpn)
     }
 }
 

@@ -195,20 +195,6 @@ impl Level {
         }
     }
 
-    fn array(&self, size: PageSize) -> &TlbArray {
-        self.arrays
-            .iter()
-            .find(|a| a.page_size() == size)
-            .unwrap_or_else(|| panic!("page size {size} is not a rung of this TLB's ladder"))
-    }
-
-    fn array_mut(&mut self, size: PageSize) -> &mut TlbArray {
-        self.arrays
-            .iter_mut()
-            .find(|a| a.page_size() == size)
-            .unwrap_or_else(|| panic!("page size {size} is not a rung of this TLB's ladder"))
-    }
-
     /// Non-mutating twin of [`Level::lookup`]: same probe order
     /// (ascending ladder rank), no LRU movement, no stats.
     fn peek(&self, va: VirtAddr, tag: u64) -> Option<PageSize> {
@@ -218,29 +204,26 @@ impl Level {
             .map(|a| a.page_size())
     }
 
-    /// Probe every size array for the address; returns the hitting size.
-    fn lookup(&mut self, va: VirtAddr, tag: u64) -> Option<PageSize> {
-        // Hardware probes all arrays concurrently; to keep the LRU state of
-        // the miss path realistic we only update the array that hits, so
-        // probe first (ascending rank) and promote second.
-        match self
-            .arrays
-            .iter()
-            .position(|a| a.probe(va.vpn(a.page_size()) | tag))
-        {
-            Some(i) => {
-                let size = self.arrays[i].page_size();
-                self.arrays[i].lookup(va.vpn(size) | tag);
-                Some(size)
-            }
-            None => {
-                // Record the miss in every array's local stats.
-                for a in &mut self.arrays {
-                    a.lookup(va.vpn(a.page_size()) | tag);
-                }
-                None
+    /// Probe every size array for the address; returns the hitting rank.
+    ///
+    /// Hardware probes all arrays concurrently; to keep the LRU state of
+    /// the miss path realistic only the array that hits is updated. Each
+    /// array is scanned once, in ascending rank: the first hit is
+    /// re-fronted at the position its scan found, and a miss in every
+    /// array is recorded in each one's local stats.
+    #[inline]
+    fn lookup(&mut self, va: VirtAddr, tag: u64) -> Option<usize> {
+        for (rank, a) in self.arrays.iter_mut().enumerate() {
+            let key = va.vpn(a.page_size()) | tag;
+            if let Some(pos) = a.find(key) {
+                a.hit_at(key, pos);
+                return Some(rank);
             }
         }
+        for a in &mut self.arrays {
+            a.record_miss();
+        }
+        None
     }
 
     fn flush(&mut self) {
@@ -311,6 +294,15 @@ impl Tlb {
         (self.tag >> ASID_SHIFT) as u16
     }
 
+    /// Ladder rank of `size`, which indexes each level's arrays.
+    #[inline]
+    fn rank(&self, size: PageSize) -> usize {
+        self.config
+            .arch
+            .rank_of(size)
+            .unwrap_or_else(|| panic!("page size {size} is not a rung of this TLB's ladder"))
+    }
+
     /// Count a fill's eviction against the interference stat when the
     /// victim belonged to a different ASID.
     #[inline]
@@ -360,14 +352,18 @@ impl Tlb {
     /// Translate-lookup for `va`. On an L2 hit the entry is promoted into
     /// L1 (possibly evicting an L1 entry).
     pub fn lookup(&mut self, va: VirtAddr) -> TlbOutcome {
-        if let Some(size) = self.l1.lookup(va, self.tag) {
+        if let Some(rank) = self.l1.lookup(va, self.tag) {
             self.stats.l1_hits += 1;
-            return TlbOutcome::L1Hit(size);
+            return TlbOutcome::L1Hit(self.l1.arrays[rank].page_size());
         }
         if let Some(l2) = &mut self.l2 {
-            if let Some(size) = l2.lookup(va, self.tag) {
+            if let Some(rank) = l2.lookup(va, self.tag) {
                 self.stats.l2_hits += 1;
-                let evicted = self.l1.array_mut(size).fill(va.vpn(size) | self.tag);
+                // L1 just missed this key, so the promotion needs no
+                // presence scan.
+                let l1 = &mut self.l1.arrays[rank];
+                let size = l1.page_size();
+                let evicted = l1.insert(va.vpn(size) | self.tag);
                 Self::note_eviction(&mut self.stats, self.tag, evicted);
                 return TlbOutcome::L2Hit(size);
             }
@@ -401,7 +397,7 @@ impl Tlb {
     /// [`record_l1_hit_bypass`]: Tlb::record_l1_hit_bypass
     #[inline]
     pub fn l1_is_mru(&self, va: VirtAddr, size: PageSize) -> bool {
-        self.l1.array(size).is_mru(va.vpn(size) | self.tag)
+        self.l1.arrays[self.rank(size)].is_mru(va.vpn(size) | self.tag)
     }
 
     /// Record an L1 hit of `size` without performing the lookup.
@@ -420,7 +416,8 @@ impl Tlb {
     #[inline]
     pub fn record_l1_hit_bypass(&mut self, size: PageSize) {
         self.stats.l1_hits += 1;
-        self.l1.array_mut(size).record_hit_bypass();
+        let rank = self.rank(size);
+        self.l1.arrays[rank].record_hit_bypass();
     }
 
     /// Install a translation after a page walk determined its size.
@@ -428,10 +425,11 @@ impl Tlb {
     pub fn fill(&mut self, va: VirtAddr, size: PageSize) {
         self.stats.fills += 1;
         let key = va.vpn(size) | self.tag;
-        let evicted = self.l1.array_mut(size).fill(key);
+        let rank = self.rank(size);
+        let evicted = self.l1.arrays[rank].fill(key);
         Self::note_eviction(&mut self.stats, self.tag, evicted);
         if let Some(l2) = &mut self.l2 {
-            let evicted = l2.array_mut(size).fill(key);
+            let evicted = l2.arrays[rank].fill(key);
             Self::note_eviction(&mut self.stats, self.tag, evicted);
         }
     }
@@ -450,9 +448,10 @@ impl Tlb {
     /// protection change; invlpg is ASID-scoped on PCID hardware).
     pub fn invalidate(&mut self, va: VirtAddr, size: PageSize) {
         let key = va.vpn(size) | self.tag;
-        self.l1.array_mut(size).invalidate(key);
+        let rank = self.rank(size);
+        self.l1.arrays[rank].invalidate(key);
         if let Some(l2) = &mut self.l2 {
-            l2.array_mut(size).invalidate(key);
+            l2.arrays[rank].invalidate(key);
         }
         self.generation += 1;
     }

@@ -2,6 +2,8 @@
 //!
 //! Structural models of the TLBs on the paper's two platforms:
 //!
+//! * [`set`] — the flat set-associative true-LRU array every TLB entry
+//!   array and every simulated cache (`lpomp-machine`) is built on;
 //! * [`mod@array`] — a single entry array (one page size), fully or
 //!   set-associative, true LRU;
 //! * [`hierarchy`] — one- and two-level TLBs with one entry array per rung
@@ -22,6 +24,7 @@
 pub mod array;
 pub mod hierarchy;
 pub mod presets;
+pub mod set;
 
 pub use array::{ArrayStats, Assoc, TlbArray};
 pub use hierarchy::{

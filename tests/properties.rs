@@ -7,10 +7,16 @@
 
 use std::collections::HashMap;
 
+use lpomp::machine::{opteron_2x2, xeon_2x2_ht, Cache, CacheStats, LINE_BYTES};
 use lpomp::runtime::{plan, Mailbox, Plan, Schedule, ShVec};
-use lpomp::tlb::{Assoc, TlbArray};
+use lpomp::tlb::presets::{
+    ARM64_16K_DTLB, ARM64_16K_ITLB, ARM64_4K_DTLB, ARM64_4K_ITLB, MODERN_X86_DTLB, MODERN_X86_ITLB,
+    OPTERON_DTLB, OPTERON_ITLB, XEON_DTLB, XEON_ITLB,
+};
+use lpomp::tlb::{ArrayStats, Assoc, TlbArray};
 use lpomp::vm::{
-    AccessKind, AddressSpace, Backing, BuddyAllocator, PageSize, Populate, PteFlags, VirtAddr,
+    AccessKind, AddressSpace, Backing, BuddyAllocator, MMArch, PageSize, Populate, PteFlags,
+    VirtAddr,
 };
 
 /// SplitMix64: tiny, fast, and statistically fine for test-input
@@ -126,32 +132,248 @@ fn schedules_cover_exactly_once() {
     }
 }
 
-/// The TLB array behaves exactly like a reference LRU model.
+/// Naive set-associative true-LRU reference: one MRU-first `Vec` per
+/// set, keys indexed by their low bits, with the counters the simulated
+/// arrays keep.
+#[derive(Default)]
+struct NaiveLru {
+    ways: usize,
+    sets: Vec<Vec<u64>>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl NaiveLru {
+    fn new(sets: usize, ways: usize) -> Self {
+        NaiveLru {
+            ways,
+            sets: vec![Vec::new(); sets],
+            ..NaiveLru::default()
+        }
+    }
+
+    /// `key`'s set; `None` when there are no sets at all.
+    fn set(&mut self, key: u64) -> Option<&mut Vec<u64>> {
+        let n = self.sets.len() as u64;
+        self.sets.get_mut(key.checked_rem(n)? as usize)
+    }
+
+    /// Stack position of `key` in its set (0 = MRU).
+    fn position(&mut self, key: u64) -> Option<usize> {
+        self.set(key)?.iter().position(|&k| k == key)
+    }
+
+    /// Move `key` to the front of its set if resident.
+    fn refront(&mut self, key: u64) -> bool {
+        let Some(pos) = self.position(key) else {
+            return false;
+        };
+        let set = self.set(key).unwrap();
+        let k = set.remove(pos);
+        set.insert(0, k);
+        true
+    }
+
+    fn lookup(&mut self, key: u64) -> bool {
+        let hit = self.refront(key);
+        *if hit {
+            &mut self.hits
+        } else {
+            &mut self.misses
+        } += 1;
+        hit
+    }
+
+    /// Install (re-front if present); returns the evicted key.
+    fn fill(&mut self, key: u64) -> Option<u64> {
+        if self.refront(key) {
+            return None;
+        }
+        let ways = self.ways;
+        let set = self.set(key)?;
+        let evicted = if set.len() == ways { set.pop() } else { None };
+        set.insert(0, key);
+        self.evictions += u64::from(evicted.is_some());
+        evicted
+    }
+
+    fn invalidate(&mut self, key: u64) -> bool {
+        let pos = self.position(key);
+        pos.map(|p| self.set(key).unwrap().remove(p)).is_some()
+    }
+
+    fn flush(&mut self) {
+        self.sets.iter_mut().for_each(Vec::clear);
+    }
+
+    fn occupancy(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+}
+
+/// A key stream with LRU-relevant locality: mostly reuse of a recent key
+/// (hits at every stack depth), otherwise a uniform draw from a universe
+/// of twice the capacity (capacity and conflict misses).
+fn lru_key(rng: &mut Rng, recent: &mut Vec<u64>, universe: u64) -> u64 {
+    let key = if !recent.is_empty() && rng.below(3) != 0 {
+        recent[rng.below(recent.len() as u64) as usize]
+    } else {
+        rng.below(universe)
+    };
+    if recent.len() < 64 {
+        recent.push(key);
+    } else {
+        recent[rng.below(64) as usize] = key;
+    }
+    key
+}
+
+/// Every distinct `(entries, assoc)` array geometry of the preset TLBs,
+/// over the ladder rungs each preset's architecture actually builds.
+fn preset_array_geometries() -> Vec<(u16, Assoc)> {
+    let presets = [
+        XEON_DTLB,
+        XEON_ITLB,
+        OPTERON_DTLB,
+        OPTERON_ITLB,
+        MODERN_X86_DTLB,
+        MODERN_X86_ITLB,
+        ARM64_4K_DTLB,
+        ARM64_4K_ITLB,
+        ARM64_16K_DTLB,
+        ARM64_16K_ITLB,
+    ];
+    let mut geometries = Vec::new();
+    for cfg in &presets {
+        for level in std::iter::once(&cfg.l1).chain(&cfg.l2) {
+            for rank in 0..cfg.arch.ladder().len() {
+                let slot = level.slot(rank);
+                if !geometries.contains(&(slot.entries, slot.assoc)) {
+                    geometries.push((slot.entries, slot.assoc));
+                }
+            }
+        }
+    }
+    geometries
+}
+
+/// The TLB array behaves exactly like a reference LRU model, for every
+/// preset array geometry and every fully associative capacity up to 8:
+/// hit/miss, evicted key, fill of a present key, `invalidate`, `flush`
+/// and the `ArrayStats` counters all agree.
 #[test]
 fn tlb_array_matches_reference_lru() {
-    for seed in 0..64u64 {
-        let mut rng = Rng::new(0x71b * 31337 + seed);
-        let capacity = 1 + rng.below(8) as u16;
-        let mut tlb = TlbArray::new(PageSize::Small4K, capacity, Assoc::Full);
-        // Reference: vector of vpns, MRU at the front.
-        let mut model: Vec<u64> = Vec::new();
-        let n = 1 + rng.below(299);
-        for _ in 0..n {
-            let vpn = rng.below(32);
-            let hit = tlb.lookup(vpn);
-            let model_hit = model.contains(&vpn);
-            assert_eq!(hit, model_hit, "seed {seed}: vpn {vpn} divergence");
-            if hit {
-                let pos = model.iter().position(|&v| v == vpn).unwrap();
-                let v = model.remove(pos);
-                model.insert(0, v);
-            } else {
-                tlb.fill(vpn);
-                if model.len() == capacity as usize {
-                    model.pop();
+    let mut geometries = preset_array_geometries();
+    // The preset list must reach the Table 1 arrays and the zero-entry row.
+    for g in [(0, Assoc::Full), (128, Assoc::Full), (1024, Assoc::Ways(4))] {
+        assert!(geometries.contains(&g), "presets lost {g:?}");
+    }
+    for n in 1..=8 {
+        if !geometries.contains(&(n, Assoc::Full)) {
+            geometries.push((n, Assoc::Full));
+        }
+    }
+    for (capacity, assoc) in geometries {
+        let (sets, ways) = match assoc {
+            Assoc::Full => (usize::from(capacity > 0), usize::from(capacity)),
+            Assoc::Ways(w) => (usize::from(capacity / w), usize::from(w)),
+        };
+        for seed in 0..8u64 {
+            let ctx = format!("{capacity} entries {assoc:?}, seed {seed}");
+            let mut rng = Rng::new(0x71b * 31337 + seed);
+            let mut tlb = TlbArray::new(PageSize::Small4K, capacity, assoc);
+            let mut model = NaiveLru::new(sets, ways);
+            let mut flushes = 0;
+            let mut recent = Vec::new();
+            let universe = 2 * u64::from(capacity.max(4));
+            for step in 0..4000 {
+                let vpn = lru_key(&mut rng, &mut recent, universe);
+                match rng.below(100) {
+                    0..=69 => {
+                        let hit = tlb.lookup(vpn);
+                        assert_eq!(hit, model.lookup(vpn), "{ctx}: lookup {vpn} at {step}");
+                        if !hit {
+                            assert_eq!(tlb.fill(vpn), model.fill(vpn), "{ctx}: fill {vpn}");
+                        }
+                    }
+                    70..=84 => {
+                        // Fill without a lookup first: the key may be present.
+                        assert_eq!(tlb.fill(vpn), model.fill(vpn), "{ctx}: fill {vpn}");
+                    }
+                    85..=98 => {
+                        assert_eq!(
+                            tlb.invalidate(vpn),
+                            model.invalidate(vpn),
+                            "{ctx}: invalidate {vpn}"
+                        );
+                    }
+                    _ => {
+                        tlb.flush();
+                        model.flush();
+                        flushes += 1;
+                    }
                 }
-                model.insert(0, vpn);
+                let pos = model.position(vpn);
+                assert_eq!(tlb.probe(vpn), pos.is_some(), "{ctx}: probe {vpn}");
+                assert_eq!(tlb.is_mru(vpn), pos == Some(0), "{ctx}: is_mru {vpn}");
+                assert_eq!(tlb.occupancy(), model.occupancy(), "{ctx}: occupancy");
             }
+            let want = ArrayStats {
+                hits: model.hits,
+                misses: model.misses,
+                evictions: model.evictions,
+                flushes,
+            };
+            assert_eq!(tlb.stats(), want, "{ctx}: stats");
+        }
+    }
+}
+
+/// Every preset cache geometry (2-, 8- and 16-way) behaves exactly like
+/// the reference LRU model: hit/miss per access, residency and the
+/// `CacheStats` counters agree.
+#[test]
+fn cache_matches_reference_lru() {
+    let presets = [opteron_2x2(), xeon_2x2_ht()];
+    for cfg in presets.iter().flat_map(|m| [m.l1d, m.l2]) {
+        let lines = cfg.capacity_bytes / LINE_BYTES;
+        for seed in 0..4u64 {
+            let ctx = format!("{}, seed {seed}", cfg.name);
+            let mut rng = Rng::new(0xcac4e * 7 + seed);
+            let mut cache = Cache::new(cfg);
+            let mut model = NaiveLru::new(cfg.sets(), usize::from(cfg.ways));
+            let mut recent = Vec::new();
+            for step in 0..20_000 {
+                let line = lru_key(&mut rng, &mut recent, 2 * lines);
+                let addr = line * LINE_BYTES + rng.below(LINE_BYTES);
+                if rng.below(1000) == 0 {
+                    cache.flush();
+                    model.flush();
+                }
+                let hit = cache.access(addr);
+                let model_hit = model.lookup(line);
+                if !model_hit {
+                    model.fill(line);
+                }
+                assert_eq!(hit, model_hit, "{ctx}: access {addr:#x} at {step}");
+                if step % 512 == 0 {
+                    assert_eq!(cache.occupancy(), model.occupancy(), "{ctx}: occupancy");
+                }
+            }
+            for line in 0..2 * lines {
+                assert_eq!(
+                    cache.probe(line * LINE_BYTES),
+                    model.position(line).is_some(),
+                    "{ctx}: residency of line {line}"
+                );
+            }
+            let want = CacheStats {
+                hits: model.hits,
+                misses: model.misses,
+                evictions: model.evictions,
+            };
+            assert_eq!(cache.stats(), want, "{ctx}: stats");
         }
     }
 }
